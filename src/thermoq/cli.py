@@ -68,16 +68,34 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _integer_at_least(minimum: int):
+    """An argparse type accepting integers >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _integer_at_least(1)
+_seed = _integer_at_least(0)
+
+
 def _effective_seed(args, fallback: int) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("THERMOQ_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(
-                f"THERMOQ_SEED must be an integer, got {env!r}") from None
+            return _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"THERMOQ_SEED: {exc}") from None
     return fallback
 
 
@@ -101,12 +119,6 @@ def _output_dir(args, run: RunConfig | None) -> Path:
         out = Path(".")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_csv(path: Path, header: tuple, rows: list) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _fit_payload(fit) -> dict:
@@ -182,30 +194,23 @@ def cmd_gamma1_sweep(args):
     out = _output_dir(args, run)
     circuit = run.circuit
     rates = decoherence.component_rates(circuit, run.s_delta)
-    rows = []
-    for n in np.linspace(0.0, args.n_max, args.points):
-        n = float(n)
-        antenna = decoherence.gamma1_antenna_model(
-            n, circuit.gamma1_0, circuit.gamma1_antenna)
-        dispersive = decoherence.gamma1_dispersive_model(
-            n, n, rates, circuit.gamma1_0)
-        resonant = decoherence.delta_gamma1_res(n, rates)
-        rows.append((io.render_float(n), io.hz_token(antenna),
-                     io.hz_token(dispersive), io.hz_token(resonant)))
-    _write_csv(out / "gamma1_sweep.csv",
-               ("photon_number", "gamma1_antenna_hz",
-                "gamma1_dispersive_hz", "delta_gamma1_res_hz"), rows)
+    photons = np.linspace(0.0, args.n_max, args.points).tolist()
+    antenna = [decoherence.gamma1_antenna_model(
+        n, circuit.gamma1_0, circuit.gamma1_antenna) for n in photons]
+    dispersive = [decoherence.gamma1_dispersive_model(
+        n, n, rates, circuit.gamma1_0) for n in photons]
+    resonant = [decoherence.delta_gamma1_res(n, rates) for n in photons]
+    io.GAMMA1_SWEEP.write(out / "gamma1_sweep.csv",
+                          (photons, antenna, dispersive, resonant))
     return out, [args.config], ["gamma1_sweep.csv"]
 
 
 def cmd_dephasing_sweep(args):
     run = _require_config(args)
     out = _output_dir(args, run)
-    rows = []
-    for temp in np.linspace(args.t_min, args.t_max, args.points):
-        rate = decoherence.dephasing_second_order(float(temp), run.geometry)
-        rows.append((io.render_float(float(temp)), io.hz_token(rate)))
-    _write_csv(out / "dephasing_sweep.csv", ("temp_k", "gamma_phi_hz"), rows)
+    temps = np.linspace(args.t_min, args.t_max, args.points).tolist()
+    rates = [decoherence.dephasing_second_order(t, run.geometry) for t in temps]
+    io.DEPHASING_SWEEP.write(out / "dephasing_sweep.csv", (temps, rates))
     return out, [args.config], ["dephasing_sweep.csv"]
 
 
@@ -316,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--config", required=True,
                              help="JSON run configuration")
         if seeded:
-            cmd.add_argument("--seed", type=int, default=None,
+            cmd.add_argument("--seed", type=_seed, default=None,
                              help="override THERMOQ_SEED and the config seed")
         return cmd
 
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
               "model ac-Stark shift vs readout temperature", config=True)
     cmd.add_argument("--t-min", type=float, default=0.05)
     cmd.add_argument("--t-max", type=float, default=1.5)
-    cmd.add_argument("--points", type=int, default=15)
+    cmd.add_argument("--points", type=_positive_int, default=15)
     cmd.add_argument("--alpha", type=float, default=None,
                      help="line attenuation (default: readout port value)")
 
@@ -343,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add("gamma1-sweep", cmd_gamma1_sweep,
               "relaxation-rate models vs photon number", config=True)
     cmd.add_argument("--n-max", type=float, default=2.0)
-    cmd.add_argument("--points", type=int, default=41)
+    cmd.add_argument("--points", type=_positive_int, default=41)
 
     cmd = add("dephasing-sweep", cmd_dephasing_sweep,
               "second-order antenna dephasing vs temperature", config=True)
     cmd.add_argument("--t-min", type=float, default=0.05)
     cmd.add_argument("--t-max", type=float, default=1.5)
-    cmd.add_argument("--points", type=int, default=30)
+    cmd.add_argument("--points", type=_positive_int, default=30)
 
     cmd = add("tls-sim", cmd_tls_sim,
               "simulate a fluctuating gamma1(t) record", config=True,
@@ -360,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add("psd-fit", cmd_psd_fit,
               "bin a gamma1 series into a PSD and fit the knee model")
     cmd.add_argument("--input", required=True, help="gamma1 series CSV")
-    cmd.add_argument("--bins-per-decade", type=int, default=16)
+    cmd.add_argument("--bins-per-decade", type=_positive_int, default=16)
 
     cmd = add("floor-fit", cmd_floor_fit,
               "fit the white-floor temperature scaling")

@@ -253,6 +253,10 @@ def parse_config(data) -> RunConfig:
     return run
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def load_config(path) -> RunConfig:
     """Read and parse a JSON run configuration file."""
     try:
@@ -260,7 +264,7 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

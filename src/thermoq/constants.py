@@ -4,7 +4,6 @@ Compiled in; never read from configuration.
 """
 
 import math
-from dataclasses import dataclass
 
 h = 6.62607015e-34          # Planck constant, J s (exact)
 hbar = h / (2 * math.pi)    # reduced Planck constant, J s
@@ -15,20 +14,3 @@ R_q = h / (4 * e**2)        # resistance quantum for Cooper pairs h/4e^2, Ohm
 
 TWO_PI = 2 * math.pi
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the constants used throughout, all strictly positive."""
-
-    hbar: float = hbar
-    k_B: float = k_B
-    Phi0: float = Phi0
-    R_q: float = R_q
-
-    def __post_init__(self):
-        for name in ("hbar", "k_B", "Phi0", "R_q"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-CODATA = PhysicalConstants()

@@ -6,9 +6,8 @@ step and divided by 10 on an accepted one, initial damping 1e-3
 relative to the diagonal of the normal matrix.  Convergence when the
 relative step and the relative residual change are both below 1e-10,
 or after 200 trial steps.  Jacobians by forward finite differences
-with step max(1e-8, 1e-8*|p|) unless the caller supplies analytic
-derivatives.  Box bounds are supported through a logistic parameter
-transform.
+with step max(1e-8, 1e-8*|p|).  Box bounds are supported through a
+logistic parameter transform.
 """
 
 import math
@@ -100,14 +99,14 @@ def _finite_difference_jacobian(func, p, r0):
     return jac
 
 
-def least_squares(model, initial, data=None, *, names=None, bounds=None,
-                  jacobian=None, max_iter=_MAX_ITER) -> FitResult:
+def least_squares(model, initial, *, names=None, bounds=None,
+                  max_iter=_MAX_ITER) -> FitResult:
     """Minimize the sum of squared residuals of ``model``.
 
-    ``model(p)`` (or ``model(p, data)`` when ``data`` is given) must
-    return the residual vector.  ``initial`` is the starting parameter
-    vector; ``names`` optionally labels the parameters; ``bounds`` is an
-    optional per-parameter list of (lo, hi) or None.
+    ``model(p)`` must return the residual vector.  ``initial`` is the
+    starting parameter vector; ``names`` optionally labels the
+    parameters; ``bounds`` is an optional per-parameter list of (lo, hi)
+    or None.
 
     Raises RankDeficiencyError when the normal equations are singular
     and ModelDomainError when the model returns non-finite residuals at
@@ -121,17 +120,9 @@ def least_squares(model, initial, data=None, *, names=None, bounds=None,
         names = tuple(f"p{i}" for i in range(k))
     names = tuple(names)
 
-    if data is None:
-        func_p = lambda p: np.atleast_1d(np.asarray(model(p), dtype=float))
-    else:
-        func_p = lambda p: np.atleast_1d(np.asarray(model(p, data), dtype=float))
-
     transform = _BoundTransform(bounds, k)
-    func_q = lambda q: func_p(transform.to_external(q))
-    if jacobian is not None and bounds is None:
-        jac_q = lambda q, r: np.atleast_2d(np.asarray(jacobian(q), dtype=float))
-    else:
-        jac_q = lambda q, r: _finite_difference_jacobian(func_q, q, r)
+    func_q = lambda q: np.atleast_1d(
+        np.asarray(model(transform.to_external(q)), dtype=float))
 
     q = transform.to_internal(p0)
     r = func_q(q)
@@ -151,7 +142,7 @@ def least_squares(model, initial, data=None, *, names=None, bounds=None,
 
     while n_trials < max_iter:
         if jac is None:
-            jac = jac_q(q, r)
+            jac = _finite_difference_jacobian(func_q, q, r)
             if not np.all(np.isfinite(jac)):
                 raise ModelDomainError("non-finite Jacobian")
             normal = jac.T @ jac
@@ -189,7 +180,7 @@ def least_squares(model, initial, data=None, *, names=None, bounds=None,
                 break
 
     # covariance from the Jacobian at the final point
-    jac = jac_q(q, r)
+    jac = _finite_difference_jacobian(func_q, q, r)
     normal = jac.T @ jac
     dof = max(r.size - k, 1)
     s2 = norm**2 / dof

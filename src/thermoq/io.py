@@ -1,17 +1,19 @@
 """CSV interchange with fixed schemas and lossless numeric rendering.
 
-Frequency-like columns are stored on disk in Hz (omega/2pi) while the
-in-memory API is rad/s throughout.  The Hz boundary is crossed with
-exact rational arithmetic so a write-then-read cycle reproduces every
-IEEE double bit-for-bit; a naive divide/multiply by 2*pi perturbs
-roughly one value in eight by one ulp.  Plain columns are rendered with
-17 significant digits, which also round-trips doubles exactly.  The
-field separator is always "," and the decimal mark always ".",
-independent of locale.
+Every file format is one ``Table``: its header and the columns stored in
+Hz.  Those columns are omega/2pi on disk while the in-memory API is
+rad/s throughout.  The Hz boundary is crossed with exact rational
+arithmetic so a write-then-read cycle reproduces every IEEE double
+bit-for-bit; a naive divide/multiply by 2*pi perturbs roughly one value
+in eight by one ulp.  Plain columns are rendered with 17 significant
+digits, which also round-trips doubles exactly.  The field separator is
+always "," and the decimal mark always ".", independent of locale.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -24,27 +26,21 @@ from .errors import CsvFormatError
 from .spectral import Spectrum
 from .tlssim import TimeSeries
 
-TIME_SERIES_HEADER = ("time_s", "gamma1_hz")
-SPECTRUM_HEADER = ("freq_hz", "psd_w_per_hz")
-STARK_HEADER = ("temp_k", "shift_hz")
-FLOOR_HEADER = ("temp_k", "psd_w_per_hz")
-
 _TWO_PI_EXACT = Fraction(TWO_PI)
 
 
-def render_float(x: float) -> str:
+def _render_float(x: float) -> str:
     """Render a double with 17 significant digits; parses back exactly."""
-    return f"{float(x):.17g}"
+    return f"{x:.17g}"
 
 
-def hz_token(omega: float) -> str:
+def _render_hz(omega: float) -> str:
     """Render omega/2pi: 17 significant digits of the exact real quotient.
 
     Rounding the true quotient (rather than the nearest-double quotient)
     keeps the relative error below half an ulp of omega, so the reader's
     exact multiply-and-round recovers omega without loss.
     """
-    omega = float(omega)
     if omega == 0.0:
         return "0"
     with localcontext() as ctx:
@@ -52,67 +48,88 @@ def hz_token(omega: float) -> str:
         return str(Decimal(omega) / Decimal(TWO_PI))
 
 
-def _from_hz_token(token: str, row: int, column: str) -> float:
+def _parse_hz(token: str) -> float:
+    return float(Fraction(Decimal(token)) * _TWO_PI_EXACT)
+
+
+def _parse(parse, token: str, row: int, column: str) -> float:
     try:
-        hz = Decimal(token)
-        value = float(Fraction(hz) * _TWO_PI_EXACT)
+        value = parse(token)
     except (InvalidOperation, ValueError, OverflowError, ZeroDivisionError):
         raise CsvFormatError(
             f"row {row}: could not parse {token!r} in column '{column}'"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise CsvFormatError(f"row {row}: non-finite value in column '{column}'")
     return value
 
 
-def _parse_plain(token: str, row: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise CsvFormatError(
-            f"row {row}: could not parse {token!r} in column '{column}'"
-        ) from None
-    if not np.isfinite(value):
-        raise CsvFormatError(f"row {row}: non-finite value in column '{column}'")
-    return value
+@dataclass(frozen=True)
+class Table:
+    """One CSV format: its header and the names of the columns kept in Hz."""
+
+    header: tuple
+    hz: tuple = ()
+
+    def write(self, path, columns) -> None:
+        """Write one sequence of floats per header column (rad/s for Hz)."""
+        fields = [map(_render_hz if name in self.hz else _render_float,
+                      np.asarray(column, dtype=float).tolist())
+                  for name, column in zip(self.header, columns, strict=True)]
+        lines = [",".join(self.header), *map(",".join, zip(*fields, strict=True))]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def read(self, path) -> list:
+        """Return one float array per header column (rad/s for Hz)."""
+        numbers, rows = self._split(path)
+        columns = []
+        for name, tokens in zip(self.header, zip(*rows)):
+            parse = _parse_hz if name in self.hz else float
+            columns.append(np.array([_parse(parse, token, number, name)
+                                     for token, number in zip(tokens, numbers)]))
+        return columns
+
+    def _split(self, path) -> tuple:
+        """Check the header and every row's width; return row numbers and tokens.
+
+        A separate method, so the file's lines are freed before parsing.
+        """
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        expected = ",".join(self.header)
+        if not lines or lines[0] != expected:
+            raise CsvFormatError(f"row 1: expected header '{expected}'")
+        numbers, rows = [], []
+        for number, line in enumerate(lines[1:], start=2):
+            if line == "":
+                continue
+            tokens = line.split(",")
+            if len(tokens) != len(self.header):
+                raise CsvFormatError(f"row {number}: expected "
+                                     f"{len(self.header)} columns, got {len(tokens)}")
+            numbers.append(number)
+            rows.append(tuple(tokens))  # smaller than the list split returns
+        if not rows:
+            raise CsvFormatError("row 2: no data rows")
+        return numbers, rows
 
 
-def _read_rows(path, header: tuple) -> list:
-    """Return [(row_number, (token, token)), ...] for a two-column CSV."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    expected = ",".join(header)
-    if not lines or lines[0] != expected:
-        raise CsvFormatError(f"row 1: expected header '{expected}'")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise CsvFormatError(
-                f"row {number}: expected {len(header)} columns, got {len(parts)}"
-            )
-        rows.append((number, tuple(parts)))
-    if not rows:
-        raise CsvFormatError("row 2: no data rows")
-    return rows
-
-
-def _write_lines(path, header: tuple, lines: list) -> None:
-    body = "\n".join([",".join(header), *lines])
-    Path(path).write_text(body + "\n", encoding="utf-8")
+TIME_SERIES = Table(("time_s", "gamma1_hz"), hz=("gamma1_hz",))
+SPECTRUM = Table(("freq_hz", "psd_w_per_hz"), hz=("freq_hz",))
+STARK_SWEEP = Table(("temp_k", "shift_hz"), hz=("shift_hz",))
+FLOOR_POINTS = Table(("temp_k", "psd_w_per_hz"))
+GAMMA1_SWEEP = Table(
+    ("photon_number", "gamma1_antenna_hz", "gamma1_dispersive_hz",
+     "delta_gamma1_res_hz"),
+    hz=("gamma1_antenna_hz", "gamma1_dispersive_hz", "delta_gamma1_res_hz"))
+DEPHASING_SWEEP = Table(("temp_k", "gamma_phi_hz"), hz=("gamma_phi_hz",))
 
 
 def write_time_series(path, series: TimeSeries) -> None:
-    lines = [f"{render_float(t)},{hz_token(v)}"
-             for t, v in zip(series.times, series.values)]
-    _write_lines(path, TIME_SERIES_HEADER, lines)
+    TIME_SERIES.write(path, (series.times, series.values))
 
 
 def read_time_series(path) -> TimeSeries:
-    rows = _read_rows(path, TIME_SERIES_HEADER)
-    times = np.array([_parse_plain(t, n, "time_s") for n, (t, _) in rows])
-    values = np.array([_from_hz_token(v, n, "gamma1_hz") for n, (_, v) in rows])
+    times, values = TIME_SERIES.read(path)
     if times.size < 2:
         raise CsvFormatError("need at least 2 rows to infer the sampling interval")
     dt = times[1] - times[0]
@@ -125,37 +142,28 @@ def read_time_series(path) -> TimeSeries:
 
 
 def write_spectrum(path, spectrum: Spectrum) -> None:
-    lines = [f"{hz_token(w)},{render_float(v)}"
-             for w, v in zip(spectrum.omegas, spectrum.values)]
-    _write_lines(path, SPECTRUM_HEADER, lines)
+    SPECTRUM.write(path, (spectrum.omegas, spectrum.values))
 
 
 def read_spectrum(path) -> Spectrum:
-    rows = _read_rows(path, SPECTRUM_HEADER)
-    omegas = np.array([_from_hz_token(f, n, "freq_hz") for n, (f, _) in rows])
-    values = np.array([_parse_plain(v, n, "psd_w_per_hz") for n, (_, v) in rows])
+    omegas, values = SPECTRUM.read(path)
     return Spectrum(omegas=omegas, values=values)
 
 
 def write_stark_sweep(path, points) -> None:
-    lines = [f"{render_float(p.temperature)},{hz_token(p.delta_omega_q)}"
-             for p in points]
-    _write_lines(path, STARK_HEADER, lines)
+    STARK_SWEEP.write(path, ([p.temperature for p in points],
+                             [p.delta_omega_q for p in points]))
 
 
 def read_stark_sweep(path) -> list:
-    rows = _read_rows(path, STARK_HEADER)
-    return [StarkSweepPoint(temperature=_parse_plain(t, n, "temp_k"),
-                            delta_omega_q=_from_hz_token(s, n, "shift_hz"))
-            for n, (t, s) in rows]
+    temps, shifts = STARK_SWEEP.read(path)
+    return [StarkSweepPoint(t, s) for t, s in zip(temps.tolist(), shifts.tolist())]
 
 
 def write_floor_points(path, points) -> None:
-    lines = [f"{render_float(t)},{render_float(mu)}" for t, mu in points]
-    _write_lines(path, FLOOR_HEADER, lines)
+    FLOOR_POINTS.write(path, ([t for t, _ in points], [mu for _, mu in points]))
 
 
 def read_floor_points(path) -> list:
-    rows = _read_rows(path, FLOOR_HEADER)
-    return [(_parse_plain(t, n, "temp_k"), _parse_plain(mu, n, "psd_w_per_hz"))
-            for n, (t, mu) in rows]
+    temps, mu = FLOOR_POINTS.read(path)
+    return list(zip(temps.tolist(), mu.tolist()))

@@ -136,6 +136,20 @@ class TestDeterministicSweeps:
         at_one = rows[np.isclose(rows[:, 0], 1.0), 1][0]
         assert at_one - rows[0, 1] == pytest.approx(2 * 820e3, rel=1e-9)
 
+    def test_sweep_files_read_back_through_their_tables(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["gamma1-sweep", "--config", str(cfg),
+                         "--n-max", "2.0", "--points", "5"]) == 0
+        assert cli.main(["dephasing-sweep", "--config", str(cfg),
+                         "--points", "4"]) == 0
+        photons, antenna, _, _ = io.GAMMA1_SWEEP.read(out / "gamma1_sweep.csv")
+        assert np.array_equal(photons, np.linspace(0.0, 2.0, 5))
+        assert antenna[0] == TWO_PI * 3.9e6
+        temps, rates = io.DEPHASING_SWEEP.read(out / "dephasing_sweep.csv")
+        assert np.array_equal(temps, np.linspace(0.05, 1.5, 4))
+        assert np.all(np.diff(rates) > 0)
+
     def test_dephasing_sweep_values(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["dephasing-sweep", "--config", str(cfg),
@@ -323,3 +337,46 @@ class TestErrorPaths:
         monkeypatch.setenv("THERMOQ_SEED", "not-a-number")
         assert cli.main(["tls-sim", "--config", str(cfg),
                          "--mode", "phenomenological"]) == 2
+
+    def test_non_finite_config_number(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"temperature_k": 0.1',
+                                               '"temperature_k": NaN'))
+        assert cli.main(["rates", "--config", str(cfg)]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rates.json").exists()
+
+    def test_negative_env_seed(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        monkeypatch.setenv("THERMOQ_SEED", "-1")
+        assert cli.main(["tls-sim", "--config", str(cfg),
+                         "--mode", "phenomenological"]) == 2
+        assert capsys.readouterr().err == "error: THERMOQ_SEED: must be >= 0, got -1\n"
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("argv", [
+        ["gamma1-sweep", "--points", "-3"],
+        ["gamma1-sweep", "--points", "0"],
+        ["stark-sweep", "--points", "0"],
+        ["dephasing-sweep", "--points", "0"],
+        ["dephasing-sweep", "--points", "2.5"],
+        ["tls-sim", "--seed", "-1"],
+        ["campaign", "--seed", "-1"],
+    ])
+    def test_bad_count_or_seed_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--config", str(cfg)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"thermoq {argv[0]}: error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bins_per_decade_must_be_positive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["psd-fit", "--input", str(tmp_path / "series.csv"),
+                      "--bins-per-decade", "0"])
+        assert excinfo.value.code == 2
+        assert "--bins-per-decade: must be >= 1, got 0" in capsys.readouterr().err

@@ -215,6 +215,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="line"):
             config_mod.load_config(path)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_rejected(self, tmp_path, constant):
+        data = base_config()
+        data["ports"][2]["temperature_k"] = "PLACEHOLDER"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data).replace('"PLACEHOLDER"', constant))
+        with pytest.raises(ConfigError, match=f"non-finite number {constant}"):
+            config_mod.load_config(path)
+
     def test_shipped_sample_parses(self):
         sample = pathlib.Path(__file__).resolve().parent.parent / "sample.json"
         run = config_mod.load_config(sample)

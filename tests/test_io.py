@@ -5,6 +5,9 @@ is rad/s; values are rendered with 17 significant digits so a
 write-then-read round trip is the identity on IEEE doubles.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,82 @@ def sample_series(seed=4):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     values = TWO_PI * (3.9e6 + 215e3 * rng.standard_normal(96))
     return TimeSeries(0.0, 10.0, values, seed_used=seed)
+
+
+def near_halfway(rng, scale, count, divisor=1.0):
+    """Doubles x with x/divisor within 1e-3 of a 17-digit rounding midpoint."""
+    found = []
+    while len(found) < count:
+        x = float(scale * rng.uniform(-1.0, 1.0))
+        q = abs(Fraction(x) / Fraction(divisor))
+        digits = 16 - math.floor(math.log10(q))
+        if abs(q * Fraction(10) ** digits % 1 - Fraction(1, 2)) < Fraction(1, 1000):
+            found.append(x)
+    return found
+
+
+def boundary_values(hz):
+    """Doubles that stress the 17-digit rendering and, for hz, the 2pi boundary."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11)))
+    divisor = TWO_PI if hz else 1.0
+    values = [0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1, 1 / 3,
+              -TWO_PI * 1e5, -7088.5857179331899 * TWO_PI,
+              np.nextafter(TWO_PI * 3.9e6, 0.0), np.nextafter(TWO_PI * 3.9e6, 1e9)]
+    values += near_halfway(rng, TWO_PI * 1e6, 6, divisor)
+    values += list(TWO_PI * 1e6 * rng.standard_normal(24))
+    values.append(0.0 if hz else -0.0)  # Hz columns write either zero as "0"
+    return np.array(values)
+
+
+TABLES = {
+    "time_series": io.TIME_SERIES, "spectrum": io.SPECTRUM,
+    "stark_sweep": io.STARK_SWEEP, "floor_points": io.FLOOR_POINTS,
+    "gamma1_sweep": io.GAMMA1_SWEEP, "dephasing_sweep": io.DEPHASING_SWEEP,
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_table_round_trip_is_bit_exact(tmp_path, name):
+    table = TABLES[name]
+    path = tmp_path / f"{name}.csv"
+    columns = [np.roll(boundary_values(col in table.hz), i)
+               for i, col in enumerate(table.header)]
+    table.write(path, columns)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(table.header)
+    assert len(lines) == 1 + columns[0].size
+    loaded = table.read(path)
+    assert len(loaded) == len(table.header)
+    for written, read in zip(columns, loaded):
+        assert read.dtype == np.float64
+        assert read.tobytes() == written.tobytes()
+    for col, written in zip(table.header, columns):
+        if col in table.hz:
+            # the naive omega/2pi*2pi route would not survive these values
+            assert np.any(written / TWO_PI * TWO_PI != written)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("temp_k,shift_hz\n0.5,1e400\n", "row 2: could not parse '1e400' in column 'shift_hz'"),
+    ("temp_k,shift_hz\n0.5,1\n0.6,nan\n", "row 3: could not parse 'nan' in column 'shift_hz'"),
+    ("temp_k,shift_hz\n0.5,1\ninf,1\n", "row 3: non-finite value in column 'temp_k'"),
+    ("temp_k,shift_hz\n\n0.5,1\n0.6\n", "row 4: expected 2 columns, got 1"),
+    ("temp_k,shift_hz\n\n", "row 2: no data rows"),
+    ("temp_k;shift_hz\n0.5;1\n", "row 1: expected header 'temp_k,shift_hz'"),
+])
+def test_table_read_errors_name_row_and_column(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(CsvFormatError) as excinfo:
+        io.STARK_SWEEP.read(path)
+    assert str(excinfo.value) == message
+
+
+def test_table_write_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        io.DEPHASING_SWEEP.write(tmp_path / "x.csv", ([0.1, 0.2], [1.0]))
+    with pytest.raises(ValueError):
+        io.DEPHASING_SWEEP.write(tmp_path / "x.csv", ([0.1, 0.2],))
 
 
 class TestTimeSeriesRoundTrip:
