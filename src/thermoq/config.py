@@ -10,12 +10,16 @@ Joules via hbar * 2*pi * f, and the campaign cadence
 so it passes through unscaled.
 
 Unknown keys are rejected, and every diagnostic names the offending
-field path (e.g. ``circuit.g_hz``).
+field path (e.g. ``circuit.g_hz``).  Numbers must be finite, and the
+run sizes are capped before anything is allocated: a campaign holds all
+its relaxation traces at once (about 2.2 kB per tick at peak), and each
+TLS costs about 0.75 kB plus one pass over the tick grid.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +29,9 @@ from .decoherence import CouplingGeometry
 from .errors import ConfigError, ValidationError
 from .experiments import CampaignConfig
 from .tlssim import EnsembleConfig
+
+MAX_CAMPAIGN_TICKS = 2**18  # about 0.6 GB at peak for a whole campaign
+MAX_TLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -78,20 +85,33 @@ class _Node:
             raise ConfigError(f"{self._at(key)}: missing required key")
         return default
 
+    def _finite(self, key: str, raw) -> float:
+        """``raw`` as a float; an overflowing literal such as 1e999 is refused."""
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{self._at(key)}: expected a finite number")
+        return value
+
     def number(self, key: str, *, required: bool = True, default=None) -> float:
         raw = self._pop(key, required, default)
         if raw is default and not required:
             return default
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"{self._at(key)}: expected a number")
-        return float(raw)
+        return self._finite(key, raw)
 
-    def integer(self, key: str, *, minimum: int | None = None) -> int:
+    def integer(self, key: str, *, minimum: int | None = None,
+                maximum: int | None = None) -> int:
         raw = self._pop(key, True, None)
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"{self._at(key)}: expected an integer")
         if minimum is not None and raw < minimum:
             raise ConfigError(f"{self._at(key)}: must be >= {minimum}")
+        if maximum is not None and raw > maximum:
+            raise ConfigError(f"{self._at(key)}: must be <= {maximum}")
         return raw
 
     def string(self, key: str) -> str:
@@ -107,7 +127,7 @@ class _Node:
                       for v in raw))
         if not ok:
             raise ConfigError(f"{self._at(key)}: expected a pair of numbers")
-        return (float(raw[0]), float(raw[1]))
+        return (self._finite(key, raw[0]), self._finite(key, raw[1]))
 
     def child(self, key: str, *, required: bool = True):
         raw = self._pop(key, required, None)
@@ -184,7 +204,7 @@ def _parse_tls(node: _Node, seed: int) -> EnsembleConfig:
     delta_lo, delta_hi = node.pair("delta_range_hz")
     lw_lo, lw_hi = node.pair("linewidth_range_hz")
     kwargs = {
-        "n_tls": node.integer("n_tls", minimum=1),
+        "n_tls": node.integer("n_tls", minimum=1, maximum=MAX_TLS),
         "x_exponent": node.number("x_exponent"),
         "epsilon_max": energy * node.number("epsilon_max_hz"),
         "delta_range": (energy * delta_lo, energy * delta_hi),
@@ -208,6 +228,11 @@ def _parse_campaign(node: _Node, seed: int) -> CampaignConfig:
         "seed": seed,
     }
     node.close()
+    ticks = kwargs["duration"] * kwargs["point_rate"]
+    if ticks > MAX_CAMPAIGN_TICKS + 0.5:  # more than the cap after rounding
+        raise ConfigError(
+            f"campaign.duration_s: duration_s * point_rate_hz = {ticks:.6g} "
+            f"ticks, above the cap of {MAX_CAMPAIGN_TICKS}")
     return _build("campaign", CampaignConfig, **kwargs)
 
 

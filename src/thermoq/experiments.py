@@ -3,15 +3,18 @@
 ``simulate_trace`` produces the three standard excited-state-probability
 records (relaxation, Ramsey, echo) with optional binomial shot noise at
 a given averaging count; ``fit_trace`` inverts a trace back to a decay
-rate by nonlinear least squares; ``simulate_campaign`` chains the two
-over a long tick grid, drawing the instantaneous true rate from a
-supplied source, to produce the estimator-noise-broadened rate-vs-time
-series that spectral analysis consumes.
+rate by nonlinear least squares; ``simulate_campaign`` measures a long
+tick grid, drawing the instantaneous true rate from a supplied source,
+to produce the estimator-noise-broadened rate-vs-time series that
+spectral analysis consumes.
 
 The campaign layer is mechanism-agnostic: whatever makes the true rate
 move (microscopic defect dynamics, photon-number drift, nothing at all)
 is the source's business; this module only measures it the way an
-experiment would, one shot-noise-limited trace at a time.
+experiment would.  Every tick still gets its own shot-noise-limited
+relaxation trace from its own random stream, but the campaign holds all
+traces in one (ticks, points) array and fits them in one batched
+Levenberg-Marquardt pass (``fit_decay_traces``).
 """
 
 import math
@@ -97,30 +100,42 @@ def simulate_trace(kind, rate, detuning, times, n_averages=None, seed=None):
     if n_averages is not None:
         if n_averages < 1:
             raise DomainError("n_averages must be a positive count")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        p = rng.binomial(n_averages, p) / n_averages
+        p = _shot_noise(p, n_averages, seed)
     return ExperimentTrace(kind, times, p, detuning, n_averages)
 
 
-def _initial_rate(times, decaying):
-    """Log-linear slope of the decaying part, with a coarse fallback."""
-    span = times[-1]
-    floor = max(decaying.max() * 0.05, 1e-12)
-    sel = decaying > floor
-    if np.sum(sel) >= 3:
-        try:
-            fit = fitting.linear_fit(times[sel], np.log(decaying[sel]))
-            slope = fit.parameters["slope"]
-            if slope < 0:
-                return -slope
-        except FitError:
-            pass
-    return 2.0 / span
+def _shot_noise(p, n_averages, seed):
+    """Fraction of successes in ``n_averages`` Bernoulli trials per point."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return rng.binomial(n_averages, p) / n_averages
+
+
+def fit_decay_traces(times, p_e):
+    """Fit offset + amplitude*exp(-rate*t) to every row of (n, m) traces.
+
+    One batched Levenberg-Marquardt pass (``fitting.fit_decays``).
+    Returns the fits and two row masks: ``no_decay`` where the fit could
+    not be formed or the rate is not positive at 2 sigma, and
+    ``short_span`` where the trace spans fewer than 1.5 fitted decay
+    constants.
+    """
+    times = np.atleast_2d(times)
+    fits = fitting.fit_decays(times, p_e)
+    rate = np.where(fits.formed, fits.parameters[:, 0], np.nan)
+    return fits, *_failures(rate, fits.rate_err, times[:, -1])
+
+
+def _failures(rate, rate_err, span):
+    """The two trace-fit failure masks of ``fit_decay_traces``."""
+    no_decay = ~(np.asarray(rate) > 2 * rate_err)
+    return no_decay, ~no_decay & (span * rate < 1.5)
 
 
 def fit_trace(trace: ExperimentTrace) -> fitting.FitResult:
     """Fit the matching decay model; returns rate with 1-sigma error.
 
+    Relaxation and echo traces go through ``fit_decay_traces`` as a
+    batch of one; Ramsey traces through ``fitting.least_squares``.
     Raises NoDecayError when the fitted rate is not positive at 2 sigma
     (or the fit cannot be formed at all, e.g. on a flat trace), and
     DomainError when the record is too short or spans fewer than 1.5
@@ -133,33 +148,28 @@ def fit_trace(trace: ExperimentTrace) -> fitting.FitResult:
     if trace.kind == "ramsey":
         offset0 = float(p.mean())
         amplitude0 = float(p[0] - offset0)
-        names = ("rate", "detuning", "amplitude", "offset")
-        initial = [2.0 / times[-1], trace.detuning, amplitude0, offset0]
 
         def residuals(params):
             rate, detuning, amplitude, offset = params
             model = offset + amplitude * np.exp(-rate * times) * np.cos(
                 detuning * times)
             return model - p
+
+        try:
+            result = fitting.least_squares(
+                residuals, [2.0 / times[-1], trace.detuning, amplitude0, offset0],
+                names=("rate", "detuning", "amplitude", "offset"))
+        except FitError as exc:
+            raise NoDecayError(f"trace fit failed: {exc}") from exc
+        no_decay, short_span = _failures(result.parameters["rate"],
+                                         result.stderr("rate"), times[-1])
     else:
-        offset0 = float(p.min())
-        amplitude0 = float(p[0] - offset0)
-        decaying = p - offset0
-        names = ("rate", "amplitude", "offset")
-        initial = [_initial_rate(times, decaying), amplitude0, offset0]
-
-        def residuals(params):
-            rate, amplitude, offset = params
-            return offset + amplitude * np.exp(-rate * times) - p
-
-    try:
-        result = fitting.least_squares(residuals, initial, names=names)
-    except FitError as exc:
-        raise NoDecayError(f"trace fit failed: {exc}") from exc
-    rate = result.parameters["rate"]
-    if not rate > 2 * result.stderr("rate"):
-        raise NoDecayError("fitted rate is not positive at 2 sigma")
-    if times[-1] * rate < 1.5:
+        fits, no_decay, short_span = fit_decay_traces(times, p)
+        result = fits.result(0)
+        no_decay, short_span = no_decay[0], short_span[0]
+    if no_decay:
+        raise NoDecayError("trace fit failed or its rate is not positive at 2 sigma")
+    if short_span:
         raise DomainError("trace spans fewer than 1.5 fitted decay constants")
     return result
 
@@ -201,52 +211,42 @@ def simulate_campaign(config: CampaignConfig, gamma1_source) -> CampaignResult:
     """Measure a drifting relaxation rate the way an experiment would.
 
     ``gamma1_source`` is either a TimeSeries of true rates (sampled by
-    zero-order hold) or a callable t -> rate.  Each campaign tick
-    simulates one shot-noise-limited relaxation trace at the
-    instantaneous true rate and records the fitted rate; ticks whose
-    fit shows no significant decay become gaps.
+    zero-order hold) or a callable t -> rate, evaluated once per tick.
+    Each campaign tick simulates one shot-noise-limited relaxation trace
+    at the instantaneous true rate, drawn from that tick's own child of
+    ``SeedSequence(config.seed)``; all traces are then fitted in one
+    batch.  Ticks whose fit shows no significant decay, or spans fewer
+    than 1.5 fitted decay constants (a wild fit at low averaging), become
+    gaps.
     """
-    if isinstance(gamma1_source, TimeSeries):
-        source_ts = gamma1_source
-
-        def true_rate(t):
-            index = int((t - source_ts.t0) // source_ts.dt)
-            return float(source_ts.values[
-                min(max(index, 0), source_ts.values.size - 1)])
-    else:
-        true_rate = gamma1_source
-
     n_points = int(round(config.duration * config.point_rate))
     dt = 1.0 / config.point_rate
-    children = np.random.SeedSequence(config.seed).spawn(n_points)
-    values = np.empty(n_points)
-    gaps = []
-    last_good = None
-    for i, child in enumerate(children):
-        rate_true = true_rate(i * dt)
-        if not rate_true > 0:
-            raise DomainError("gamma1 source produced a non-positive rate")
-        trace_times = np.linspace(
-            0.0, _CAMPAIGN_TRACE_SPAN / rate_true, _CAMPAIGN_TRACE_POINTS)
-        trace = simulate_trace("relaxation", rate_true, None, trace_times,
-                               n_averages=config.n_averages,
-                               seed=int(child.generate_state(1)[0]))
-        try:
-            values[i] = fit_trace(trace).parameters["rate"]
-            last_good = values[i]
-        except (NoDecayError, DomainError):
-            # DomainError here can only be the fitted-span check (the
-            # grid always has 25 points): a wild fit at low averaging
-            # is as unusable as no decay, so both become gaps.
-            gaps.append(i)
-            values[i] = math.nan if last_good is None else last_good
-    if last_good is None:
+    ticks = dt * np.arange(n_points)
+    if isinstance(gamma1_source, TimeSeries):
+        index = np.clip((ticks - gamma1_source.t0) // gamma1_source.dt,
+                        0, gamma1_source.values.size - 1)
+        rates = gamma1_source.values[index.astype(np.intp)]
+    else:
+        rates = np.array([gamma1_source(t) for t in ticks.tolist()], dtype=float)
+    if not np.all(rates > 0):
+        raise DomainError("gamma1 source produced a non-positive rate")
+
+    times = np.ascontiguousarray(np.linspace(
+        0.0, _CAMPAIGN_TRACE_SPAN / rates, _CAMPAIGN_TRACE_POINTS, axis=1))
+    p_e = np.clip(_model_p_e("relaxation", rates[:, None], None, times), 0.0, 1.0)
+    for i in range(n_points):
+        # child i of SeedSequence(seed).spawn(n_points), made one at a time
+        child = np.random.SeedSequence(config.seed, spawn_key=(i,))
+        p_e[i] = _shot_noise(p_e[i], config.n_averages,
+                             int(child.generate_state(1)[0]))
+
+    fits, no_decay, short_span = fit_decay_traces(times, p_e)
+    good = ~(no_decay | short_span)
+    if not good.any():
         raise FitError("every campaign tick failed to fit a decay")
-    first_good = values[np.isfinite(values)][0] if gaps else None
-    for i in gaps:
-        if not math.isfinite(values[i]):
-            values[i] = first_good
-        else:
-            break
-    series = TimeSeries(0.0, dt, values, seed_used=config.seed)
-    return CampaignResult(series=series, gap_indices=tuple(gaps))
+    # a gap holds the last good estimate before it, or the first one
+    first_good = int(np.argmax(good))
+    held = np.maximum.accumulate(np.where(good, np.arange(n_points), first_good))
+    series = TimeSeries(0.0, dt, fits.parameters[held, 0], seed_used=config.seed)
+    return CampaignResult(series=series,
+                          gap_indices=tuple(np.flatnonzero(~good).tolist()))

@@ -8,6 +8,12 @@ relative step and the relative residual change are both below 1e-10,
 or after 200 trial steps.  Jacobians by forward finite differences
 with step max(1e-8, 1e-8*|p|).  Box bounds are supported through a
 logistic parameter transform.
+
+``fit_decays`` runs the same schedule on many traces of
+offset + amplitude*exp(-rate*t) at once: an analytic Jacobian, damping
+and convergence kept per row, and stacked solves, so a long campaign of
+short relaxation records is one array computation instead of one fit
+per record.
 """
 
 import math
@@ -20,6 +26,7 @@ from .errors import DegenerateDataError, ModelDomainError, RankDeficiencyError
 _REL_TOL = 1e-10
 _MAX_ITER = 200
 _DAMPING_0 = 1e-3
+DECAY_NAMES = ("rate", "amplitude", "offset")
 
 
 @dataclass
@@ -99,8 +106,7 @@ def _finite_difference_jacobian(func, p, r0):
     return jac
 
 
-def least_squares(model, initial, *, names=None, bounds=None,
-                  max_iter=_MAX_ITER) -> FitResult:
+def least_squares(model, initial, *, names=None, bounds=None) -> FitResult:
     """Minimize the sum of squared residuals of ``model``.
 
     ``model(p)`` must return the residual vector.  ``initial`` is the
@@ -140,7 +146,7 @@ def least_squares(model, initial, *, names=None, bounds=None,
     n_trials = 0
     jac = None
 
-    while n_trials < max_iter:
+    while n_trials < _MAX_ITER:
         if jac is None:
             jac = _finite_difference_jacobian(func_q, q, r)
             if not np.all(np.isfinite(jac)):
@@ -201,6 +207,190 @@ def least_squares(model, initial, *, names=None, bounds=None,
         converged=converged,
         accepted_residual_norms=tuple(accepted),
     )
+
+
+@dataclass(frozen=True)
+class DecayFits:
+    """Row-wise fits of offset + amplitude*exp(-rate*t).
+
+    ``parameters`` is (n, 3) in ``DECAY_NAMES`` order and ``covariance``
+    is (n, 3, 3).  ``formed`` is False for a row whose fit could not be
+    formed (non-finite start, Jacobian or covariance, a parameter with
+    no effect, singular normal equations); its other entries are then
+    meaningless.
+    """
+
+    parameters: np.ndarray
+    covariance: np.ndarray
+    residual_norm: np.ndarray
+    n_iterations: np.ndarray
+    converged: np.ndarray
+    formed: np.ndarray
+
+    @property
+    def rate_err(self) -> np.ndarray:
+        """1-sigma standard error of every row's rate."""
+        return np.sqrt(np.maximum(self.covariance[:, 0, 0], 0.0))
+
+    def result(self, i: int) -> FitResult:
+        """Row ``i`` as a single-fit result."""
+        return FitResult(
+            parameters=dict(zip(DECAY_NAMES, map(float, self.parameters[i]))),
+            covariance=self.covariance[i],
+            param_names=DECAY_NAMES,
+            residual_norm=float(self.residual_norm[i]),
+            n_iterations=int(self.n_iterations[i]),
+            converged=bool(self.converged[i]),
+        )
+
+
+def _row_dot(a, b):
+    """Dot product of matching rows, without an (n, m) temporary."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _decay_start(times, data):
+    """Log-linear slope of the part above 5 % of each row's maximum.
+
+    Falls back to 2/span where fewer than 3 points qualify or the slope
+    is not negative; amplitude and offset start from the first point and
+    the minimum.
+    """
+    offset = data.min(axis=1)
+    decaying = data - offset[:, None]
+    sel = decaying > np.maximum(decaying.max(axis=1) * 0.05, 1e-12)[:, None]
+    count = sel.sum(axis=1)
+    n = np.maximum(count, 1)[:, None]
+    # centred abscissae and log ordinates of the selected points, 0 elsewhere
+    x = np.where(sel, times, 0.0)
+    y = np.log(decaying, where=sel, out=np.zeros_like(decaying))
+    np.subtract(x, x.sum(axis=1, keepdims=True) / n, out=x, where=sel)
+    np.subtract(y, y.sum(axis=1, keepdims=True) / n, out=y, where=sel)
+    sxx = _row_dot(x, x)
+    slope = _row_dot(x, y) / np.where(sxx > 0, sxx, 1.0)
+    use_slope = (count >= 3) & (sxx > 0) & (slope < 0)
+    rate = np.where(use_slope, -slope, 2.0 / times[:, -1])
+    return np.stack([rate, data[:, 0] - offset, offset], axis=1)
+
+
+def _decay_norm(q, times, data):
+    """Residual norm of every row at parameters ``q``."""
+    return np.linalg.norm(
+        q[:, 2:3] + q[:, 1:2] * np.exp(-q[:, 0:1] * times) - data, axis=1)
+
+
+def _decay_normal_equations(q, times, data):
+    """J^T J and J^T r of every row, from the analytic Jacobian columns
+    (-amplitude*t*e, e, 1) with e = exp(-rate*t), without forming J."""
+    amplitude = q[:, 1]
+    envelope = np.exp(-q[:, 0:1] * times)
+    residual = q[:, 2:3] + q[:, 1:2] * envelope - data
+    weighted = times * envelope
+    normal = np.empty((len(q), 3, 3))
+    normal[:, 0, 0] = amplitude**2 * _row_dot(weighted, weighted)
+    normal[:, 0, 1] = normal[:, 1, 0] = -amplitude * _row_dot(weighted, envelope)
+    normal[:, 0, 2] = normal[:, 2, 0] = -amplitude * weighted.sum(axis=1)
+    normal[:, 1, 1] = _row_dot(envelope, envelope)
+    normal[:, 1, 2] = normal[:, 2, 1] = envelope.sum(axis=1)
+    normal[:, 2, 2] = times.shape[1]
+    grad = np.stack([-amplitude * _row_dot(weighted, residual),
+                     _row_dot(envelope, residual), residual.sum(axis=1)], axis=1)
+    return normal, grad
+
+
+def _stacked(func, matrices, *vectors):
+    """Apply a stacked LAPACK call; singular rows come back NaN and flagged."""
+    try:
+        return func(matrices, *vectors), np.zeros(len(matrices), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.full(vectors[0].shape if vectors else matrices.shape, np.nan)
+        singular = np.zeros(len(matrices), dtype=bool)
+        for i in range(len(matrices)):
+            try:
+                out[i] = func(matrices[i], *(v[i] for v in vectors))
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return out, singular
+
+
+def _keep(mask, *arrays):
+    """The rows of each array where ``mask`` holds; no copy when all do."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
+
+
+def fit_decays(times, data) -> DecayFits:
+    """Fit offset + amplitude*exp(-rate*t) to every row of ``data`` at once.
+
+    ``times`` and ``data`` are (n, m).  Each row follows the schedule of
+    ``least_squares``, with the analytic Jacobian in place of finite
+    differences; rows stop independently, and a stopped row leaves the
+    working set.  A row whose fit cannot be formed is flagged in
+    ``formed`` instead of raising, so one bad trace does not stop the
+    others.
+    """
+    # C order keeps every row's sums in one order, whatever the batch
+    times = np.ascontiguousarray(np.atleast_2d(times), dtype=float)
+    data = np.ascontiguousarray(np.atleast_2d(data), dtype=float)
+    if times.shape != data.shape:
+        raise ValueError("times and data must have the same shape")
+    n, m = data.shape
+    k = len(DECAY_NAMES)
+    if m < k:
+        raise RankDeficiencyError(f"{m} residuals cannot constrain {k} parameters")
+
+    with np.errstate(all="ignore"):
+        q = _decay_start(times, data)
+        norm = _decay_norm(q, times, data)
+        formed = np.all(np.isfinite(q), axis=1) & np.isfinite(norm)
+        damping = np.full(n, _DAMPING_0)
+        converged = np.zeros(n, dtype=bool)
+        n_trials = np.zeros(n, dtype=int)
+        rows, t, y = _keep(formed, np.arange(n), times, data)
+        for _ in range(_MAX_ITER):
+            if rows.size == 0:
+                break
+            n_trials[rows] += 1
+            normal, grad = _decay_normal_equations(q[rows], t, y)
+            diag = np.diagonal(normal, axis1=1, axis2=2)
+            usable = (np.all(np.isfinite(normal), axis=(1, 2))
+                      & np.all(diag > 0, axis=1))
+            lhs = normal + damping[rows, None, None] * (diag[:, :, None] * np.eye(k))
+            lhs[~usable] = np.eye(k)
+            step, singular = _stacked(np.linalg.solve, lhs, -grad[:, :, None])
+            failed = ~usable | singular
+            formed[rows[failed]] = False
+            step = step[:, :, 0]
+            q_trial = q[rows] + step
+            norm_trial = _decay_norm(q_trial, t, y)
+            norm_old = norm[rows]
+            # a non-finite trial residual has a NaN or infinite norm
+            accept = ~failed & (norm_trial < norm_old)
+            rel_step = (np.linalg.norm(step, axis=1)
+                        / np.maximum(np.linalg.norm(q[rows], axis=1), 1e-300))
+            rel_dres = np.abs(norm_old - norm_trial) / np.maximum(norm_old, 1e-300)
+            done = accept & (((rel_step < _REL_TOL) & (rel_dres < _REL_TOL))
+                             | (norm_trial == 0.0))
+            moved = rows[accept]
+            q[moved], norm[moved] = q_trial[accept], norm_trial[accept]
+            damping[moved] = np.maximum(damping[moved] / 10.0, 1e-300)
+            rejected = ~failed & ~accept
+            damping[rows[rejected]] *= 10.0
+            # a step size collapsed to nothing counts as converged to
+            # the current point, as in least_squares
+            done |= rejected & (damping[rows] > 1e30)
+            converged[rows[done]] = True
+            rows, t, y = _keep(~(failed | done), rows, t, y)
+
+        # covariance from the Jacobian at the final point
+        rows, t, y = _keep(formed, np.arange(n), times, data)
+        inverse, _ = _stacked(np.linalg.inv, _decay_normal_equations(q[rows], t, y)[0])
+        covariance = np.full((n, k, k), np.nan)
+        covariance[rows] = (norm[rows] ** 2 / max(m - k, 1))[:, None, None] * inverse
+        formed &= np.all(np.isfinite(covariance), axis=(1, 2))
+    return DecayFits(parameters=q, covariance=covariance, residual_norm=norm,
+                     n_iterations=n_trials, converged=converged, formed=formed)
 
 
 def linear_fit(x, y) -> FitResult:

@@ -42,14 +42,16 @@ def _render_hz(omega: float) -> str:
     exact multiply-and-round recovers omega without loss.
     """
     if omega == 0.0:
-        return "0"
+        return "-0" if math.copysign(1.0, omega) < 0 else "0"
     with localcontext() as ctx:
         ctx.prec = 17
         return str(Decimal(omega) / Decimal(TWO_PI))
 
 
 def _parse_hz(token: str) -> float:
-    return float(Fraction(Decimal(token)) * _TWO_PI_EXACT)
+    hz = Decimal(token)
+    # the exact product drops the sign of zero; restore it from the token
+    return math.copysign(float(Fraction(hz) * _TWO_PI_EXACT), hz)
 
 
 def _parse(parse, token: str, row: int, column: str) -> float:

@@ -346,6 +346,25 @@ class TestErrorPaths:
         assert "non-finite number NaN" in capsys.readouterr().err
         assert not (tmp_path / "out" / "rates.json").exists()
 
+    def test_overflowing_config_number(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"temperature_k": 0.1',
+                                               '"temperature_k": 1e999'))
+        assert cli.main(["rates", "--config", str(cfg)]) == 2
+        assert "temperature_k: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rates.json").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("campaign.duration_s", 1e15, "campaign.duration_s: "),
+        ("tls.n_tls", 10**12, "tls.n_tls: must be <= "),
+    ])
+    def test_oversized_run_rejected_before_allocation(self, tmp_path, capsys,
+                                                      key, value, message):
+        cfg = write_config(tmp_path, **{key: value})
+        assert cli.main(["campaign", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_env_seed(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
         monkeypatch.setenv("THERMOQ_SEED", "-1")

@@ -7,6 +7,7 @@ the offending field path.
 """
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -190,6 +191,42 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"tls\.delta_range_hz"):
             config_mod.parse_config(data)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("campaign", "duration_s", math.inf),
+        ("circuit", "g_hz", -math.inf),
+        ("geometry", "M_a_h", math.nan),
+        ("tls", "rate_decades", [1e-5, math.inf]),
+    ])
+    def test_non_finite_number_names_path(self, section, key, value):
+        data = base_config()
+        data[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a finite"):
+            config_mod.parse_config(data)
+
+    def test_integer_too_large_for_a_float(self):
+        data = base_config()
+        data["circuit"]["g_hz"] = 10**400
+        with pytest.raises(ConfigError, match=r"circuit\.g_hz: expected a finite"):
+            config_mod.parse_config(data)
+
+    def test_campaign_tick_cap(self):
+        data = base_config()
+        rate = data["campaign"]["point_rate_hz"]
+        data["campaign"]["duration_s"] = config_mod.MAX_CAMPAIGN_TICKS / rate
+        assert config_mod.parse_config(data).campaign.duration == pytest.approx(
+            config_mod.MAX_CAMPAIGN_TICKS / rate)
+        data["campaign"]["duration_s"] = (config_mod.MAX_CAMPAIGN_TICKS + 1) / rate
+        with pytest.raises(ConfigError, match=r"campaign\.duration_s: .* above the cap"):
+            config_mod.parse_config(data)
+
+    def test_tls_count_cap(self):
+        data = base_config()
+        data["tls"]["n_tls"] = config_mod.MAX_TLS
+        assert config_mod.parse_config(data).tls.n_tls == config_mod.MAX_TLS
+        data["tls"]["n_tls"] = config_mod.MAX_TLS + 1
+        with pytest.raises(ConfigError, match=r"tls\.n_tls: must be <= "):
+            config_mod.parse_config(data)
+
     def test_physics_invariants_surface_with_section(self):
         data = base_config()
         data["circuit"]["g_hz"] = 500e6  # breaks the dispersive-regime guard
@@ -222,6 +259,16 @@ class TestLoadConfig:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(data).replace('"PLACEHOLDER"', constant))
         with pytest.raises(ConfigError, match=f"non-finite number {constant}"):
+            config_mod.load_config(path)
+
+    def test_overflowing_literal_rejected(self, tmp_path):
+        # json.loads turns 1e999 into inf without calling parse_constant
+        data = base_config()
+        data["ports"][2]["temperature_k"] = "PLACEHOLDER"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data).replace('"PLACEHOLDER"', "1e999"))
+        with pytest.raises(ConfigError,
+                           match=r"ports\[2\]\.temperature_k: expected a finite"):
             config_mod.load_config(path)
 
     def test_shipped_sample_parses(self):

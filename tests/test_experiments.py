@@ -8,6 +8,7 @@ its estimator noise.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,56 @@ class TestFitTrace:
             experiments.fit_trace(trace)
 
 
+class TestFitDecayTraces:
+    def mixed_batch(self):
+        """Clean, gap (flat or no significant decay) and wild rows together."""
+        times = relaxation_times()
+        rows = []
+        for i, child in enumerate(np.random.SeedSequence(21).spawn(24)):
+            seed = int(child.generate_state(1)[0])
+            n_averages = (N_AVERAGES, 40, 4, 1)[i % 4]
+            rows.append(experiments.simulate_trace(
+                "relaxation", GAMMA1 * (1.0 + 0.1 * i / 24), None, times,
+                n_averages=n_averages, seed=seed).p_e)
+        rows.append(np.full(times.size, 0.8))
+        rows.append(np.linspace(0.2, 0.9, times.size))  # rising: no decay
+        grid = np.tile(times, (len(rows) + 1, 1))
+        grid[-1] = relaxation_times(span=0.5)  # clean, but too short
+        rows.append(np.exp(-GAMMA1 * grid[-1]))
+        return grid, np.array(rows)
+
+    def test_rows_fit_independently(self):
+        times, p_e = self.mixed_batch()
+        fits, no_decay, short_span = experiments.fit_decay_traces(times, p_e)
+        outcomes = set()
+        for i in range(len(p_e)):
+            trace = experiments.ExperimentTrace("relaxation", times[i], p_e[i])
+            try:
+                alone = experiments.fit_trace(trace)
+            except NoDecayError:
+                assert no_decay[i] and not short_span[i]
+                outcomes.add("no decay")
+                continue
+            except DomainError:
+                assert short_span[i] and not no_decay[i]
+                outcomes.add("short span")
+                continue
+            assert not (no_decay[i] or short_span[i])
+            outcomes.add("fit")
+            row = fits.result(i)
+            assert row.parameters == alone.parameters
+            assert np.array_equal(row.covariance, alone.covariance)
+            assert row.n_iterations == alone.n_iterations
+        assert outcomes == {"fit", "no decay", "short span"}
+
+    def test_echo_goes_through_the_batched_fit(self):
+        times = relaxation_times(GAMMA2_ECHO)
+        trace = experiments.simulate_trace("echo", GAMMA2_ECHO, None, times,
+                                           n_averages=N_AVERAGES, seed=3)
+        fits, _, _ = experiments.fit_decay_traces(times, trace.p_e)
+        assert experiments.fit_trace(trace).parameters == fits.result(0).parameters
+
+
 def constant_source(rate=GAMMA1):
     return TimeSeries(0.0, 10.0, np.full(1200, rate))
 
@@ -258,11 +309,54 @@ class TestSimulateCampaign:
             if idx > 0:
                 assert result.series.values[idx] == result.series.values[idx - 1]
 
-    def test_all_gaps_is_an_error(self, monkeypatch):
-        def no_decay(trace):
-            raise NoDecayError("forced for the all-gaps path")
+    def test_gap_decisions_are_pinned(self):
+        # the gap ticks of the per-tick serial fit this campaign replaced
+        config = self.make_config(point_rate=0.1, duration=640.0,
+                                  n_averages=4, seed=2)
+        result = experiments.simulate_campaign(config, constant_source())
+        assert result.gap_indices == (
+            0, 1, 4, 5, 6, 7, 8, 12, 17, 19, 20, 21, 26, 30, 31, 33, 41, 44,
+            47, 51, 52, 57, 62)
 
-        monkeypatch.setattr(experiments, "fit_trace", no_decay)
+    def test_low_averaging_campaign_raises_no_warning(self):
+        # diverging trial steps of wild rows must not spam stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for seed in range(1, 5):
+                config = self.make_config(duration=640.0, n_averages=4,
+                                          seed=seed)
+                experiments.simulate_campaign(config, constant_source())
+
+    def test_source_lookup_is_zero_order_hold(self):
+        # a source sampled on its own, offset grid gives the same campaign
+        # as the equivalent scalar callable
+        rng = np.random.Generator(np.random.PCG64(7))
+        source = TimeSeries(-25.0, 7.3, GAMMA1 * (1.0 + 0.05 * rng.random(500)))
+
+        def held(t):
+            index = int((t - source.t0) // source.dt)
+            return source.values[min(max(index, 0), source.values.size - 1)]
+
+        config = self.make_config(duration=3000.0, n_averages=40)
+        a = experiments.simulate_campaign(config, source)
+        b = experiments.simulate_campaign(config, held)
+        assert np.array_equal(a.series.values, b.series.values)
+        assert a.gap_indices == b.gap_indices
+
+    def test_non_positive_source_rate(self):
+        with pytest.raises(DomainError):
+            experiments.simulate_campaign(
+                self.make_config(), lambda t: GAMMA1 if t < 5000 else 0.0)
+
+    def test_all_gaps_is_an_error(self, monkeypatch):
+        real = experiments.fit_decay_traces
+
+        def no_decay(times, p_e):
+            # forced for the all-gaps path
+            fits, _, short_span = real(times, p_e)
+            return fits, np.ones(len(times), dtype=bool), short_span
+
+        monkeypatch.setattr(experiments, "fit_decay_traces", no_decay)
         config = self.make_config(point_rate=0.1, duration=640.0,
                                   n_averages=1, seed=1)
         with pytest.raises(FitError):

@@ -113,6 +113,94 @@ def test_box_bounds_respected_and_recovering():
     assert res.parameters["a"] == pytest.approx(0.7, rel=1e-8)
 
 
+RATE = 2 * math.pi * 3.9e6
+
+
+def noisy_decays(n, n_averages, seed):
+    """Shot-noise-limited relaxation traces over 3 decay constants each."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rates = RATE * (1.0 + 0.05 * rng.standard_normal(n))
+    times = np.linspace(0.0, 3.0 / rates, 25, axis=1)
+    p = rng.binomial(n_averages, np.exp(-rates[:, None] * times)) / n_averages
+    return times, p
+
+
+class TestFitDecays:
+    def test_rates_match_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        times, data = noisy_decays(64, 40_000, 3)
+        fits = fitting.fit_decays(times, data)
+        assert fits.formed.all() and fits.converged.all()
+        for t, y, p, err in zip(times, data, fits.parameters, fits.rate_err):
+            def residual(q):
+                return q[2] + q[1] * np.exp(-q[0] * t) - y
+
+            def jacobian(q):
+                e = np.exp(-q[0] * t)
+                return np.stack([-q[1] * t * e, e, np.ones_like(t)], axis=1)
+
+            ref = optimize.least_squares(residual, [1.0 / t[-1], 1.0, 0.0],
+                                         jac=jacobian, method="lm", xtol=1e-15,
+                                         ftol=1e-15, gtol=1e-15)
+            assert ref.success
+            assert p[0] == pytest.approx(ref.x[0], rel=1e-7)
+            s2 = 2 * ref.cost / (t.size - 3)
+            ref_err = math.sqrt(s2 * np.linalg.inv(ref.jac.T @ ref.jac)[0, 0])
+            assert err == pytest.approx(ref_err, rel=1e-5)
+
+    def test_matches_serial_least_squares(self):
+        # the per-trace reference: same model, start and schedule, with
+        # finite-difference Jacobians and one fit per trace
+        times, data = noisy_decays(16, 400_000, 5)
+        fits = fitting.fit_decays(times, data)
+        starts = fitting._decay_start(times, data)
+        for t, y, start, p in zip(times, data, starts, fits.parameters):
+            ref = fitting.least_squares(
+                lambda q: q[2] + q[1] * np.exp(-q[0] * t) - y, start)
+            assert p[0] == pytest.approx(ref.parameters["p0"], rel=1e-8)
+
+    def test_start_is_the_log_linear_slope(self):
+        # the per-trace reference rule: slope of log(p - min) over the
+        # points above 5 % of the maximum, else 2/span
+        times, data = noisy_decays(32, 40, 6)
+        data[0] = 0.5                           # flat: too few points
+        data[1] = np.linspace(0.2, 0.9, 25)     # rising: slope not negative
+        starts = fitting._decay_start(times, data)
+        for t, y, start in zip(times, data, starts):
+            decaying = y - y.min()
+            sel = decaying > max(decaying.max() * 0.05, 1e-12)
+            rate = 2.0 / t[-1]
+            if sel.sum() >= 3:
+                slope = fitting.linear_fit(
+                    t[sel], np.log(decaying[sel])).parameters["slope"]
+                rate = -slope if slope < 0 else rate
+            assert start == pytest.approx([rate, y[0] - y.min(), y.min()],
+                                          rel=1e-12, abs=1e-300)
+        assert starts[0, 0] == 2.0 / times[0, -1]
+        assert starts[1, 0] == 2.0 / times[1, -1]
+
+    def test_unformed_rows_are_flagged_not_raised(self):
+        times, data = noisy_decays(3, 400_000, 4)
+        data[0] = 0.8          # flat: the rate has no effect
+        data[2, 5] = math.nan  # non-finite residual at the start
+        fits = fitting.fit_decays(times, data)
+        assert fits.formed.tolist() == [False, True, False]
+        alone = fitting.fit_decays(times[1], data[1])
+        assert np.array_equal(alone.parameters[0], fits.parameters[1])
+
+    def test_too_few_points(self):
+        with pytest.raises(RankDeficiencyError):
+            fitting.fit_decays([[0.0, 1.0]], [[1.0, 0.5]])
+
+    def test_singular_rows_of_a_stacked_solve(self):
+        matrices = np.array([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+        out, singular = fitting._stacked(np.linalg.solve, matrices,
+                                         np.ones((3, 3, 1)))
+        assert singular.tolist() == [False, True, False]
+        assert np.all(out[0] == 0.5) and np.all(out[2] == 1.0)
+        assert np.all(np.isnan(out[1]))
+
+
 class TestLinearFit:
     def test_identity_line(self):
         x = np.arange(10.0)

@@ -46,7 +46,7 @@ def boundary_values(hz):
               np.nextafter(TWO_PI * 3.9e6, 0.0), np.nextafter(TWO_PI * 3.9e6, 1e9)]
     values += near_halfway(rng, TWO_PI * 1e6, 6, divisor)
     values += list(TWO_PI * 1e6 * rng.standard_normal(24))
-    values.append(0.0 if hz else -0.0)  # Hz columns write either zero as "0"
+    values.append(-0.0)  # the sign of zero survives in every column
     return np.array(values)
 
 
