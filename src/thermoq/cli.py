@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 validation problem (config, CSV, domain),
 3 fit failure.  Seed precedence is ``--seed`` over ``THERMOQ_SEED``
 over the config seed.  Each run writes ``report.json`` listing every
 emitted file with its SHA-256 content hash; set ``THERMOQ_TIMESTAMP``
-to pin the report timestamp.
+to an ISO 8601 date and time to pin the report timestamp.
 
 All emitted frequencies and rates are in Hz (omega/2pi); column names
 carry the units.
@@ -288,10 +288,20 @@ def cmd_campaign(args):
                                 "campaign_fit.json", "campaign_summary.json"]
 
 
-def _write_report(out: Path, command: str, inputs: list, outputs: list) -> None:
-    timestamp = os.environ.get("THERMOQ_TIMESTAMP")
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat()
+def _report_timestamp() -> str:
+    """``THERMOQ_TIMESTAMP`` verbatim when set, else the current UTC time."""
+    timestamp = os.environ.get("THERMOQ_TIMESTAMP",
+                               datetime.now(timezone.utc).isoformat())
+    try:
+        datetime.fromisoformat(timestamp)
+    except ValueError:
+        raise ConfigError("THERMOQ_TIMESTAMP: expected an ISO 8601 date and "
+                          f"time, got {timestamp!r}") from None
+    return timestamp
+
+
+def _write_report(out: Path, command: str, inputs: list, outputs: list,
+                  timestamp: str) -> None:
     report = {
         "command": command,
         "inputs": {str(path): _sha256(path) for path in inputs},
@@ -384,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        timestamp = _report_timestamp()
         out, inputs, outputs = args.handler(args)
-        _write_report(out, args.command, inputs, outputs)
+        _write_report(out, args.command, inputs, outputs, timestamp)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

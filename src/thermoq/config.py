@@ -13,7 +13,8 @@ Unknown keys are rejected, and every diagnostic names the offending
 field path (e.g. ``circuit.g_hz``).  Numbers must be finite, and the
 run sizes are capped before anything is allocated: a campaign holds all
 its relaxation traces at once (about 2.2 kB per tick at peak), and each
-TLS costs about 0.75 kB plus one pass over the tick grid.
+TLS costs about 0.75 kB plus one pass over the tick grid.  Averaging
+counts stop at the largest count the binomial shot-noise sampler takes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .tlssim import EnsembleConfig
 
 MAX_CAMPAIGN_TICKS = 2**18  # about 0.6 GB at peak for a whole campaign
 MAX_TLS = 100_000
+MAX_AVERAGES = 2**63 - 1  # the largest count Generator.binomial takes (a C long)
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def _parse_campaign(node: _Node, seed: int) -> CampaignConfig:
     kwargs = {
         "point_rate": node.number("point_rate_hz"),
         "duration": node.number("duration_s"),
-        "n_averages": node.integer("n_averages", minimum=1),
+        "n_averages": node.integer("n_averages", minimum=1, maximum=MAX_AVERAGES),
         "temperature": node.number("temperature_k"),
         "seed": seed,
     }

@@ -122,7 +122,7 @@ def fit_decay_traces(times, p_e):
     times = np.atleast_2d(times)
     fits = fitting.fit_decays(times, p_e)
     rate = np.where(fits.formed, fits.parameters[:, 0], np.nan)
-    return fits, *_failures(rate, fits.rate_err, times[:, -1])
+    return fits, *_failures(rate, fits.stderr("rate"), times[:, -1])
 
 
 def _failures(rate, rate_err, span):

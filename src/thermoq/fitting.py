@@ -1,23 +1,23 @@
-"""Shared nonlinear least-squares engine (damped Gauss-Newton).
+"""Nonlinear least squares: one row-batched Levenberg-Marquardt loop.
 
-Levenberg-Marquardt with a fixed, reproducible schedule: Marquardt
-scaling of the damping term, damping multiplied by 10 on a rejected
-step and divided by 10 on an accepted one, initial damping 1e-3
-relative to the diagonal of the normal matrix.  Convergence when the
-relative step and the relative residual change are both below 1e-10,
-or after 200 trial steps.  Jacobians by forward finite differences
-with step max(1e-8, 1e-8*|p|).  Box bounds are supported through a
-logistic parameter transform.
-
-``fit_decays`` runs the same schedule on many traces of
-offset + amplitude*exp(-rate*t) at once: an analytic Jacobian, damping
-and convergence kept per row, and stacked solves, so a long campaign of
-short relaxation records is one array computation instead of one fit
-per record.
+Every nonlinear fit runs through ``_levenberg_marquardt`` on one fixed,
+reproducible schedule: Marquardt scaling of the damping term, initial
+damping 1e-3, damping per row multiplied by 10 on a rejected step and
+divided by 10 on an accepted one.  A row converges when its relative
+step and relative residual change are both below 1e-10, or when its
+damping passes 1e30 (the step has collapsed to nothing); it stops after
+200 trial steps either way.  Rows stop independently, a row whose fit
+cannot be formed is flagged instead of raised, and no row's arithmetic
+depends on the others, so a row fitted in a batch equals the same fit
+alone, bit for bit.  Two Jacobian providers feed the loop: analytic
+sums for offset + amplitude*exp(-rate*t) (``fit_decays``), and forward
+differences of step max(1e-8, 1e-8*|q|) for any row model, with box
+bounds carried by a logistic transform (``fit_rows``, and
+``least_squares``, its batch of one).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,12 +39,159 @@ class FitResult:
     residual_norm: float
     n_iterations: int
     converged: bool
-    accepted_residual_norms: tuple[float, ...] = ()
 
     def stderr(self, name: str) -> float:
         """1-sigma standard error of a named parameter."""
         i = self.param_names.index(name)
         return float(np.sqrt(max(self.covariance[i, i], 0.0)))
+
+
+@dataclass(frozen=True)
+class Fits:
+    """Row-wise results of one batched fit.
+
+    ``parameters`` is (n, k) in ``param_names`` order and ``covariance``
+    is (n, k, k).  ``formed`` is False for a row whose fit could not be
+    formed, and its other entries are then meaningless; ``errors`` holds
+    the ``FitError`` of each row the loop could not form, else None.
+    """
+
+    param_names: tuple[str, ...]
+    parameters: np.ndarray
+    covariance: np.ndarray
+    residual_norm: np.ndarray
+    n_iterations: np.ndarray
+    converged: np.ndarray
+    formed: np.ndarray
+    errors: tuple
+
+    def stderr(self, name: str) -> np.ndarray:
+        """1-sigma standard error of a named parameter, for every row."""
+        i = self.param_names.index(name)
+        return np.sqrt(np.maximum(self.covariance[:, i, i], 0.0))
+
+    def result(self, i: int) -> FitResult:
+        """Row ``i`` as a single-fit result."""
+        return FitResult(
+            parameters=dict(zip(self.param_names, map(float, self.parameters[i]))),
+            covariance=self.covariance[i],
+            param_names=self.param_names,
+            residual_norm=float(self.residual_norm[i]),
+            n_iterations=int(self.n_iterations[i]),
+            converged=bool(self.converged[i]),
+        )
+
+
+def _stacked(func, matrices, *vectors):
+    """Apply a stacked LAPACK call; singular rows come back NaN and flagged."""
+    try:
+        return func(matrices, *vectors), np.zeros(len(matrices), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.full(vectors[0].shape if vectors else matrices.shape, np.nan)
+        singular = np.zeros(len(matrices), dtype=bool)
+        for i in range(len(matrices)):
+            try:
+                out[i] = func(matrices[i], *(v[i] for v in vectors))
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return out, singular
+
+
+def _levenberg_marquardt(provider, q, names) -> Fits:
+    """Fit every row of the (n, k) start ``q`` through ``provider``.
+
+    For the parameter rows ``q`` of batch rows ``rows`` the provider gives
+    ``residuals(q, rows)``, an (r, m) array, and ``normal_equations(q,
+    rows)``, J^T J and J^T r; ``norm(x)`` and ``variance(norm, dof)``
+    reduce residual rows.  Raises RankDeficiencyError when m < k.
+    """
+    n, k = q.shape
+    errors = np.full(n, None, dtype=object)
+    n_trials = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    covariance = np.full((n, k, k), np.nan)
+
+    def stop(mask, error=None):
+        """Retire the working rows in ``mask`` at their current point."""
+        nonlocal rows, qw, normw, damping, normal, grad, stale
+        stopped = rows[mask]
+        q[stopped], norm[stopped], n_trials[stopped] = qw[mask], normw[mask], trial
+        errors[stopped] = error
+        rows, qw, normw, damping, normal, grad, stale = (
+            a[~mask] for a in (rows, qw, normw, damping, normal, grad, stale))
+
+    with np.errstate(all="ignore"):
+        rows, qw, trial = np.arange(n), q.copy(), 0
+        residual = provider.residuals(q, rows)
+        m, norm = residual.shape[1], provider.norm(residual)
+        del residual  # (n, m): not worth holding through the loop
+        if m < k:
+            raise RankDeficiencyError(f"{m} residuals cannot constrain {k} parameters")
+        normw, damping = norm.copy(), np.full(n, _DAMPING_0)
+        normal, grad = np.empty((n, k, k)), np.empty((n, k))
+        stale = np.ones(n, dtype=bool)
+        stop(~(np.isfinite(q).all(axis=1) & np.isfinite(norm)),
+             ModelDomainError("non-finite parameters or residuals at the start"))
+        eye = np.eye(k)
+        for trial in range(1, _MAX_ITER + 1):
+            diag = normal.diagonal(axis1=1, axis2=2)
+            if stale.any():
+                # normal equations change only where a step was accepted
+                s = slice(None) if stale.all() else np.flatnonzero(stale)
+                normal[s], grad[s] = provider.normal_equations(qw[s], rows[s])
+                stale[:] = False
+                finite = np.isfinite(normal).all(axis=(1, 2))
+                unusable = ~(finite & (diag > 0).all(axis=1))
+                if unusable.any():
+                    stop(unusable, [
+                        RankDeficiencyError(f"parameter {names[int(np.argmin(d))]!r} "
+                                            "has no effect on the residuals")
+                        if ok else ModelDomainError("non-finite Jacobian")
+                        for d, ok in zip(diag[unusable], finite[unusable])])
+                    diag = normal.diagonal(axis1=1, axis2=2)
+            if rows.size == 0:
+                break
+            step, singular = _stacked(
+                np.linalg.solve, normal + damping[:, None, None] * (diag[:, :, None] * eye),
+                -grad[:, :, None])
+            if singular.any():
+                stop(singular, RankDeficiencyError("singular normal equations"))
+                step = step[~singular]
+            step = step[:, :, 0]
+            q_trial = qw + step
+            norm_trial = provider.norm(provider.residuals(q_trial, rows))
+            # a non-finite trial residual has a NaN or infinite norm
+            accept = norm_trial < normw
+            damping = np.where(accept, damping / 10.0, damping * 10.0)
+            # only a rejected step takes damping past 1e30: the step has
+            # collapsed to nothing, which counts as converged
+            done = damping > 1e30
+            if accept.any():
+                rel_dres = np.abs(normw - norm_trial) / np.maximum(normw, 1e-300)
+                close = accept & ((rel_dres < _REL_TOL) | (norm_trial == 0.0))
+                if close.any():
+                    rel_step = provider.norm(step) / np.maximum(provider.norm(qw), 1e-300)
+                    done |= close & ((rel_step < _REL_TOL) | (norm_trial == 0.0))
+                np.copyto(qw, q_trial, where=accept[:, None])
+                np.copyto(normw, norm_trial, where=accept)
+                stale = accept
+            if done.any():
+                converged[rows[done]] = True
+                stop(done)
+        stop(np.ones(rows.size, dtype=bool))
+
+        # covariance from the Jacobian at the final point
+        rows = np.flatnonzero(np.equal(errors, None))
+        if rows.size:
+            normal = provider.normal_equations(q[rows], rows)[0]
+            inverse, singular = _stacked(np.linalg.inv, normal)
+            errors[rows[singular]] = RankDeficiencyError(
+                "singular normal equations at the solution")
+            variance = provider.variance(norm[rows], max(m - k, 1))
+            covariance[rows] = variance[:, None, None] * inverse
+    return Fits(param_names=tuple(names), parameters=q, covariance=covariance,
+                residual_norm=norm, n_iterations=n_trials, converged=converged,
+                formed=np.equal(errors, None), errors=tuple(errors))
 
 
 def _logistic(q: float) -> float:
@@ -55,55 +202,82 @@ def _logistic(q: float) -> float:
     return eq / (1.0 + eq)
 
 
-class _BoundTransform:
-    """Map unbounded internal coordinates to box-bounded parameters.
+def _unboxed(p, boxes):
+    """Internal coordinates q of parameters p; in each box column (i, lo,
+    hi), p = lo + (hi - lo) * logistic(q)."""
+    q = p.copy()
+    for i, lo, hi in boxes:
+        frac = np.clip((p[:, i] - lo) / (hi - lo), 1e-10, 1 - 1e-10)
+        q[:, i] = np.log(frac / (1.0 - frac))
+    return q
 
-    p = lo + (hi - lo) * logistic(q) for bounded entries, identity
-    otherwise.  Covariances are mapped back by the delta method.
+
+def _boxed(q, boxes):
+    """Parameters p at internal coordinates q, and dp/dq column by column."""
+    p, slope = q.copy(), np.ones(q.shape)
+    for i, lo, hi in boxes:
+        # math.exp element by element: np.exp differs from it in the last
+        # bit on some inputs, and the fits keep accepting one-ulp gains
+        s = np.array([_logistic(v) for v in q[:, i].tolist()], dtype=float)
+        p[:, i] = lo + (hi - lo) * s
+        slope[:, i] = (hi - lo) * s * (1.0 - s)
+    return p, slope
+
+
+class _ForwardDifferences:
+    """A row model in box-transformed internal coordinates, with
+    forward-difference Jacobians, all rows at once."""
+
+    def __init__(self, model, boxes):
+        self.model, self.boxes = model, boxes
+
+    @staticmethod
+    def norm(x):
+        # a BLAS dot per row, as np.linalg.norm of that row alone
+        return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+    @staticmethod
+    def variance(norm, dof):
+        # the scalar power: x**2 and x*x differ in the last bit on some inputs
+        return np.array([v**2 / dof for v in norm.tolist()])
+
+    def residuals(self, q, rows):
+        return np.asarray(self.model(_boxed(q, self.boxes)[0], rows), dtype=float)
+
+    def normal_equations(self, q, rows):
+        residual = self.residuals(q, rows)
+        jac = np.empty(residual.shape + (q.shape[1],))
+        steps = np.maximum(1e-8, 1e-8 * np.abs(q))
+        for i in range(q.shape[1]):
+            shifted = q.copy()
+            shifted[:, i] += steps[:, i]
+            jac[:, :, i] = (self.residuals(shifted, rows) - residual) / steps[:, i, None]
+        jac_t = jac.transpose(0, 2, 1)
+        return jac_t @ jac, (jac_t @ residual[:, :, None])[:, :, 0]
+
+
+def fit_rows(model, initial, *, names=None, bounds=None) -> Fits:
+    """Minimize the sum of squared residuals of every row of a batch.
+
+    ``initial`` holds the (n, k) starting parameter rows.  ``model(p,
+    rows)`` must return the (r, m) residual rows for the parameter rows
+    ``p`` (r, k) of batch rows ``rows``, indices into ``initial`` that
+    shrink as rows stop.  ``names`` optionally labels the parameters;
+    ``bounds`` is an optional per-parameter list of (lo, hi) or None.
     """
-
-    def __init__(self, bounds, n):
-        self.bounds = list(bounds) if bounds is not None else [None] * n
-        if len(self.bounds) != n:
-            raise ValueError("bounds must have one entry per parameter")
-
-    def to_external(self, q):
-        p = np.array(q, dtype=float)
-        for i, b in enumerate(self.bounds):
-            if b is not None:
-                lo, hi = b
-                p[i] = lo + (hi - lo) * _logistic(q[i])
-        return p
-
-    def to_internal(self, p):
-        q = np.array(p, dtype=float)
-        for i, b in enumerate(self.bounds):
-            if b is not None:
-                lo, hi = b
-                frac = np.clip((p[i] - lo) / (hi - lo), 1e-10, 1 - 1e-10)
-                q[i] = np.log(frac / (1.0 - frac))
-        return q
-
-    def jacobian_diag(self, q):
-        d = np.ones_like(q)
-        for i, b in enumerate(self.bounds):
-            if b is not None:
-                lo, hi = b
-                s = _logistic(q[i])
-                d[i] = (hi - lo) * s * (1.0 - s)
-        return d
-
-
-def _finite_difference_jacobian(func, p, r0):
-    n, k = r0.size, p.size
-    jac = np.empty((n, k))
-    for i in range(k):
-        step = max(1e-8, 1e-8 * abs(p[i]))
-        pi = p.copy()
-        pi[i] += step
-        ri = func(pi)
-        jac[:, i] = (ri - r0) / step
-    return jac
+    p0 = np.array(np.atleast_2d(initial), dtype=float)
+    k = p0.shape[1]
+    names = tuple(f"p{i}" for i in range(k)) if names is None else tuple(names)
+    bounds = [None] * k if bounds is None else list(bounds)
+    if len(bounds) != k:
+        raise ValueError("bounds must have one entry per parameter")
+    boxes = [(i, b[0], b[1]) for i, b in enumerate(bounds) if b is not None]
+    fits = _levenberg_marquardt(_ForwardDifferences(model, boxes), _unboxed(p0, boxes),
+                                names)
+    p, slope = _boxed(fits.parameters, boxes)
+    # covariances map back by the delta method
+    return replace(fits, parameters=p,
+                   covariance=fits.covariance * (slope[:, :, None] * slope[:, None, :]))
 
 
 def least_squares(model, initial, *, names=None, bounds=None) -> FitResult:
@@ -118,130 +292,11 @@ def least_squares(model, initial, *, names=None, bounds=None) -> FitResult:
     and ModelDomainError when the model returns non-finite residuals at
     the starting point.
     """
-    p0 = np.atleast_1d(np.asarray(initial, dtype=float))
-    if not np.all(np.isfinite(p0)):
-        raise ModelDomainError("initial parameters must be finite")
-    k = p0.size
-    if names is None:
-        names = tuple(f"p{i}" for i in range(k))
-    names = tuple(names)
-
-    transform = _BoundTransform(bounds, k)
-    func_q = lambda q: np.atleast_1d(
-        np.asarray(model(transform.to_external(q)), dtype=float))
-
-    q = transform.to_internal(p0)
-    r = func_q(q)
-    if not np.all(np.isfinite(r)):
-        raise ModelDomainError("model returned non-finite residuals at the initial point")
-    if r.size < k:
-        raise RankDeficiencyError(
-            f"{r.size} residuals cannot constrain {k} parameters"
-        )
-
-    norm = float(np.linalg.norm(r))
-    accepted = [norm]
-    damping = _DAMPING_0
-    converged = False
-    n_trials = 0
-    jac = None
-
-    while n_trials < _MAX_ITER:
-        if jac is None:
-            jac = _finite_difference_jacobian(func_q, q, r)
-            if not np.all(np.isfinite(jac)):
-                raise ModelDomainError("non-finite Jacobian")
-            normal = jac.T @ jac
-            grad = jac.T @ r
-            diag = np.diag(normal).copy()
-            if np.any(diag <= 0):
-                bad = names[int(np.argmin(diag))]
-                raise RankDeficiencyError(
-                    f"parameter {bad!r} has no effect on the residuals"
-                )
-        n_trials += 1
-        try:
-            step = np.linalg.solve(normal + damping * np.diag(diag), -grad)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError("singular normal equations") from exc
-        q_trial = q + step
-        r_trial = func_q(q_trial)
-        norm_trial = float(np.linalg.norm(r_trial))
-        if np.all(np.isfinite(r_trial)) and norm_trial < norm:
-            rel_step = np.linalg.norm(step) / max(np.linalg.norm(q), 1e-300)
-            rel_dres = abs(norm - norm_trial) / max(norm, 1e-300)
-            q, r, norm = q_trial, r_trial, norm_trial
-            accepted.append(norm)
-            damping = max(damping / 10.0, 1e-300)
-            jac = None
-            if (rel_step < _REL_TOL and rel_dres < _REL_TOL) or norm == 0.0:
-                converged = True
-                break
-        else:
-            damping *= 10.0
-            if damping > 1e30:
-                # step size has collapsed to nothing: treat as converged
-                # to the current point
-                converged = True
-                break
-
-    # covariance from the Jacobian at the final point
-    jac = _finite_difference_jacobian(func_q, q, r)
-    normal = jac.T @ jac
-    dof = max(r.size - k, 1)
-    s2 = norm**2 / dof
-    try:
-        cov_q = s2 * np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("singular normal equations at the solution") from exc
-
-    g = transform.jacobian_diag(q)
-    cov = cov_q * np.outer(g, g)
-    p = transform.to_external(q)
-    return FitResult(
-        parameters=dict(zip(names, map(float, p))),
-        covariance=cov,
-        param_names=names,
-        residual_norm=norm,
-        n_iterations=n_trials,
-        converged=converged,
-        accepted_residual_norms=tuple(accepted),
-    )
-
-
-@dataclass(frozen=True)
-class DecayFits:
-    """Row-wise fits of offset + amplitude*exp(-rate*t).
-
-    ``parameters`` is (n, 3) in ``DECAY_NAMES`` order and ``covariance``
-    is (n, 3, 3).  ``formed`` is False for a row whose fit could not be
-    formed (non-finite start, Jacobian or covariance, a parameter with
-    no effect, singular normal equations); its other entries are then
-    meaningless.
-    """
-
-    parameters: np.ndarray
-    covariance: np.ndarray
-    residual_norm: np.ndarray
-    n_iterations: np.ndarray
-    converged: np.ndarray
-    formed: np.ndarray
-
-    @property
-    def rate_err(self) -> np.ndarray:
-        """1-sigma standard error of every row's rate."""
-        return np.sqrt(np.maximum(self.covariance[:, 0, 0], 0.0))
-
-    def result(self, i: int) -> FitResult:
-        """Row ``i`` as a single-fit result."""
-        return FitResult(
-            parameters=dict(zip(DECAY_NAMES, map(float, self.parameters[i]))),
-            covariance=self.covariance[i],
-            param_names=DECAY_NAMES,
-            residual_norm=float(self.residual_norm[i]),
-            n_iterations=int(self.n_iterations[i]),
-            converged=bool(self.converged[i]),
-        )
+    fits = fit_rows(lambda p, rows: np.atleast_1d(model(p[0]))[None], initial,
+                    names=names, bounds=bounds)
+    if not fits.formed[0]:
+        raise fits.errors[0]
+    return fits.result(0)
 
 
 def _row_dot(a, b):
@@ -273,124 +328,65 @@ def _decay_start(times, data):
     return np.stack([rate, data[:, 0] - offset, offset], axis=1)
 
 
-def _decay_norm(q, times, data):
-    """Residual norm of every row at parameters ``q``."""
-    return np.linalg.norm(
-        q[:, 2:3] + q[:, 1:2] * np.exp(-q[:, 0:1] * times) - data, axis=1)
+class _DecaySums:
+    """offset + amplitude*exp(-rate*t) on the rows of (times, data), with
+    J^T J and J^T r summed from the analytic Jacobian columns
+    (-amplitude*t*e, e, 1), e = exp(-rate*t), without forming J."""
+
+    def __init__(self, times, data):
+        self.times, self.data = times, data
+
+    norm = staticmethod(lambda x: np.linalg.norm(x, axis=1))
+    variance = staticmethod(lambda norm, dof: norm**2 / dof)
+
+    def residuals(self, q, rows):
+        return (q[:, 2:3] + q[:, 1:2] * np.exp(-q[:, 0:1] * self.times[rows])
+                - self.data[rows])
+
+    def normal_equations(self, q, rows):
+        times = self.times[rows]
+        amplitude = q[:, 1]
+        envelope = np.exp(-q[:, 0:1] * times)
+        residual = q[:, 2:3] + q[:, 1:2] * envelope - self.data[rows]
+        weighted = times * envelope
+        normal = np.empty((len(q), 3, 3))
+        normal[:, 0, 0] = amplitude**2 * _row_dot(weighted, weighted)
+        normal[:, 0, 1] = normal[:, 1, 0] = -amplitude * _row_dot(weighted, envelope)
+        normal[:, 0, 2] = normal[:, 2, 0] = -amplitude * weighted.sum(axis=1)
+        normal[:, 1, 1] = _row_dot(envelope, envelope)
+        normal[:, 1, 2] = normal[:, 2, 1] = envelope.sum(axis=1)
+        normal[:, 2, 2] = times.shape[1]
+        grad = np.stack([-amplitude * _row_dot(weighted, residual),
+                         _row_dot(envelope, residual), residual.sum(axis=1)], axis=1)
+        return normal, grad
 
 
-def _decay_normal_equations(q, times, data):
-    """J^T J and J^T r of every row, from the analytic Jacobian columns
-    (-amplitude*t*e, e, 1) with e = exp(-rate*t), without forming J."""
-    amplitude = q[:, 1]
-    envelope = np.exp(-q[:, 0:1] * times)
-    residual = q[:, 2:3] + q[:, 1:2] * envelope - data
-    weighted = times * envelope
-    normal = np.empty((len(q), 3, 3))
-    normal[:, 0, 0] = amplitude**2 * _row_dot(weighted, weighted)
-    normal[:, 0, 1] = normal[:, 1, 0] = -amplitude * _row_dot(weighted, envelope)
-    normal[:, 0, 2] = normal[:, 2, 0] = -amplitude * weighted.sum(axis=1)
-    normal[:, 1, 1] = _row_dot(envelope, envelope)
-    normal[:, 1, 2] = normal[:, 2, 1] = envelope.sum(axis=1)
-    normal[:, 2, 2] = times.shape[1]
-    grad = np.stack([-amplitude * _row_dot(weighted, residual),
-                     _row_dot(envelope, residual), residual.sum(axis=1)], axis=1)
-    return normal, grad
-
-
-def _stacked(func, matrices, *vectors):
-    """Apply a stacked LAPACK call; singular rows come back NaN and flagged."""
-    try:
-        return func(matrices, *vectors), np.zeros(len(matrices), dtype=bool)
-    except np.linalg.LinAlgError:
-        out = np.full(vectors[0].shape if vectors else matrices.shape, np.nan)
-        singular = np.zeros(len(matrices), dtype=bool)
-        for i in range(len(matrices)):
-            try:
-                out[i] = func(matrices[i], *(v[i] for v in vectors))
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        return out, singular
-
-
-def _keep(mask, *arrays):
-    """The rows of each array where ``mask`` holds; no copy when all do."""
-    if mask.all():
-        return arrays
-    return tuple(a[mask] for a in arrays)
-
-
-def fit_decays(times, data) -> DecayFits:
+def fit_decays(times, data) -> Fits:
     """Fit offset + amplitude*exp(-rate*t) to every row of ``data`` at once.
 
-    ``times`` and ``data`` are (n, m).  Each row follows the schedule of
-    ``least_squares``, with the analytic Jacobian in place of finite
-    differences; rows stop independently, and a stopped row leaves the
-    working set.  A row whose fit cannot be formed is flagged in
-    ``formed`` instead of raising, so one bad trace does not stop the
-    others.
+    ``times`` and ``data`` are (n, m); the parameters come in
+    ``DECAY_NAMES`` order.  A row without a finite covariance is not
+    formed either, since it carries no error bar.
     """
     # C order keeps every row's sums in one order, whatever the batch
     times = np.ascontiguousarray(np.atleast_2d(times), dtype=float)
     data = np.ascontiguousarray(np.atleast_2d(data), dtype=float)
     if times.shape != data.shape:
         raise ValueError("times and data must have the same shape")
-    n, m = data.shape
-    k = len(DECAY_NAMES)
-    if m < k:
-        raise RankDeficiencyError(f"{m} residuals cannot constrain {k} parameters")
-
     with np.errstate(all="ignore"):
-        q = _decay_start(times, data)
-        norm = _decay_norm(q, times, data)
-        formed = np.all(np.isfinite(q), axis=1) & np.isfinite(norm)
-        damping = np.full(n, _DAMPING_0)
-        converged = np.zeros(n, dtype=bool)
-        n_trials = np.zeros(n, dtype=int)
-        rows, t, y = _keep(formed, np.arange(n), times, data)
-        for _ in range(_MAX_ITER):
-            if rows.size == 0:
-                break
-            n_trials[rows] += 1
-            normal, grad = _decay_normal_equations(q[rows], t, y)
-            diag = np.diagonal(normal, axis1=1, axis2=2)
-            usable = (np.all(np.isfinite(normal), axis=(1, 2))
-                      & np.all(diag > 0, axis=1))
-            lhs = normal + damping[rows, None, None] * (diag[:, :, None] * np.eye(k))
-            lhs[~usable] = np.eye(k)
-            step, singular = _stacked(np.linalg.solve, lhs, -grad[:, :, None])
-            failed = ~usable | singular
-            formed[rows[failed]] = False
-            step = step[:, :, 0]
-            q_trial = q[rows] + step
-            norm_trial = _decay_norm(q_trial, t, y)
-            norm_old = norm[rows]
-            # a non-finite trial residual has a NaN or infinite norm
-            accept = ~failed & (norm_trial < norm_old)
-            rel_step = (np.linalg.norm(step, axis=1)
-                        / np.maximum(np.linalg.norm(q[rows], axis=1), 1e-300))
-            rel_dres = np.abs(norm_old - norm_trial) / np.maximum(norm_old, 1e-300)
-            done = accept & (((rel_step < _REL_TOL) & (rel_dres < _REL_TOL))
-                             | (norm_trial == 0.0))
-            moved = rows[accept]
-            q[moved], norm[moved] = q_trial[accept], norm_trial[accept]
-            damping[moved] = np.maximum(damping[moved] / 10.0, 1e-300)
-            rejected = ~failed & ~accept
-            damping[rows[rejected]] *= 10.0
-            # a step size collapsed to nothing counts as converged to
-            # the current point, as in least_squares
-            done |= rejected & (damping[rows] > 1e30)
-            converged[rows[done]] = True
-            rows, t, y = _keep(~(failed | done), rows, t, y)
+        start = _decay_start(times, data)
+    fits = _levenberg_marquardt(_DecaySums(times, data), start, DECAY_NAMES)
+    return replace(fits, formed=fits.formed & np.isfinite(fits.covariance).all(axis=(1, 2)))
 
-        # covariance from the Jacobian at the final point
-        rows, t, y = _keep(formed, np.arange(n), times, data)
-        inverse, _ = _stacked(np.linalg.inv, _decay_normal_equations(q[rows], t, y)[0])
-        covariance = np.full((n, k, k), np.nan)
-        covariance[rows] = (norm[rows] ** 2 / max(m - k, 1))[:, None, None] * inverse
-        formed &= np.all(np.isfinite(covariance), axis=(1, 2))
-    return DecayFits(parameters=q, covariance=covariance, residual_norm=norm,
-                     n_iterations=n_trials, converged=converged, formed=formed)
+
+def fit_lines(x, y):
+    """Least-squares slope and intercept of y = slope*x + intercept for
+    every row of ``y`` (..., n) over the shared abscissae ``x``."""
+    xbar = float(x.mean())
+    sxx = float(np.sum((x - xbar) ** 2))
+    ybar = y.mean(axis=-1)
+    slope = np.sum((x - xbar) * (y - np.expand_dims(ybar, -1)), axis=-1) / sxx
+    return slope, ybar - slope * xbar
 
 
 def linear_fit(x, y) -> FitResult:
@@ -403,9 +399,7 @@ def linear_fit(x, y) -> FitResult:
     sxx = float(np.sum((x - xbar) ** 2))
     if sxx == 0.0:
         raise DegenerateDataError("all abscissae are equal")
-    ybar = float(y.mean())
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    intercept = ybar - slope * xbar
+    slope, intercept = map(float, fit_lines(x, y))
     resid = y - (intercept + slope * x)
     norm = float(np.linalg.norm(resid))
     n = x.size

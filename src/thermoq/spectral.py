@@ -191,41 +191,41 @@ _BOOTSTRAP_DRAWS = 64
 _BOOTSTRAP_SEED = 12345
 
 
-def _knee_model_fit(log_data, log_omega, mu0, starts=None):
+def _knee_fits(log_data, log_omega, starts) -> fitting.Fits:
+    """Equal-weight log-space fits of the knee model, one per start row.
+
+    Row i starts from ``starts[i]``, an (ln_amplitude, beta, ln_mu)
+    triple, and fits ``log_data[i]``.  beta is boxed to [0, 4] so single
+    noisy low-frequency bins cannot drive the exponent to arbitrarily
+    steep values.
+    """
+    def residuals(p, rows):
+        return np.logaddexp(p[:, 0:1] - p[:, 1:2] * log_omega, p[:, 2:3]) - log_data[rows]
+
+    return fitting.fit_rows(residuals, starts, names=("ln_amplitude", "beta", "ln_mu"),
+                            bounds=[None, _BETA_BOX, None])
+
+
+def _knee_model_fit(log_data, log_omega, mu0):
     """Equal-weight log-space fit, multi-start to avoid local collapses.
 
     The log(A*omega^-beta + mu) surface has a spurious basin where the
     colored amplitude collapses to zero even when a real omega^-beta
     component is present; deterministic restarts from amplitude-heavy
-    and shallow-exponent initializations recover it.  beta is boxed to
-    [0, 4] so single noisy low-frequency bins cannot drive the exponent
-    to arbitrarily steep values.  ``starts`` overrides the default
-    initializations with explicit (ln_amplitude, beta, ln_mu) triples.
+    and shallow-exponent initializations recover it.  The starts are
+    fitted as one batch; the best is the formed one with the smallest
+    residual norm, the first on ties.
     """
-    if starts is None:
-        a0 = max(math.exp(log_data[0]) - mu0, 0.01 * mu0) * math.exp(log_omega[0])
-        starts = [[math.log(a0 * a_factor), beta0, math.log(mu0)]
-                  for a_factor, beta0 in
-                  ((1.0, 1.0), (100.0, 1.0), (0.01, 1.0), (1.0, 0.5))]
-
-    def residuals(p):
-        ln_a, beta, ln_mu = p
-        return np.logaddexp(ln_a - beta * log_omega, ln_mu) - log_data
-
-    best = None
-    for p0 in starts:
-        try:
-            result = fitting.least_squares(
-                residuals, list(p0),
-                names=("ln_amplitude", "beta", "ln_mu"),
-                bounds=[None, _BETA_BOX, None])
-        except FitError:
-            continue
-        if best is None or result.residual_norm < best.residual_norm:
-            best = result
-    if best is None:
+    a0 = max(math.exp(log_data[0]) - mu0, 0.01 * mu0) * math.exp(log_omega[0])
+    starts = [[math.log(a0 * a_factor), beta0, math.log(mu0)]
+              for a_factor, beta0 in
+              ((1.0, 1.0), (100.0, 1.0), (0.01, 1.0), (1.0, 0.5))]
+    fits = _knee_fits(np.broadcast_to(log_data, (len(starts), log_data.size)),
+                      log_omega, starts)
+    formed = np.flatnonzero(fits.formed)
+    if formed.size == 0:
         raise FitError("knee model fit failed from every initialization")
-    return best
+    return fits.result(formed[np.argmin(fits.residual_norm[formed])])
 
 
 def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
@@ -309,33 +309,22 @@ def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
         return _degenerate_fit(spectrum, window)
 
     if counts is not None:
-        if floorless:
-            fitted = np.array([ln_a, beta])
-            model_log = ln_a - beta * log_omega
-
-            def refit(synthetic):
-                r = fitting.linear_fit(log_omega, synthetic)
-                return [r.parameters["intercept"], -r.parameters["slope"]]
-        else:
-            fitted = np.array([ln_a, beta, ln_mu])
-            model_log = np.logaddexp(ln_a - beta * log_omega, ln_mu)
-            warm = [ln_a, min(max(beta, 1e-6), _BETA_BOX[1] - 1e-6), ln_mu]
-
-            def refit(synthetic):
-                r = _knee_model_fit(synthetic, log_omega, math.exp(ln_mu),
-                                    starts=[warm])
-                return [r.parameters["ln_amplitude"], r.parameters["beta"],
-                        r.parameters["ln_mu"]]
-
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(_BOOTSTRAP_SEED)))
-        replicas = []
-        for _ in range(_BOOTSTRAP_DRAWS):
-            noise = np.log(rng.chisquare(2 * counts) / (2 * counts)) - correction
-            try:
-                replicas.append(refit(model_log + noise))
-            except FitError:
-                continue
+        dof = 2 * counts
+        noise = np.log(rng.chisquare(np.broadcast_to(dof, (_BOOTSTRAP_DRAWS, dof.size)))
+                       / dof) - correction
+        if floorless:
+            fitted = np.array([ln_a, beta])
+            slope, intercept = fitting.fit_lines(
+                log_omega, ln_a - beta * log_omega + noise)
+            replicas = np.stack([intercept, -slope], axis=1)
+        else:
+            fitted = np.array([ln_a, beta, ln_mu])
+            warm = [ln_a, min(max(beta, 1e-6), _BETA_BOX[1] - 1e-6), ln_mu]
+            fits = _knee_fits(np.logaddexp(ln_a - beta * log_omega, ln_mu) + noise,
+                              log_omega, np.broadcast_to(warm, (_BOOTSTRAP_DRAWS, 3)))
+            replicas = fits.parameters[fits.formed]
         if len(replicas) >= _BOOTSTRAP_DRAWS // 2:
             corrected = fitted - (np.mean(replicas, axis=0) - fitted)
             if floorless:

@@ -357,12 +357,22 @@ class TestErrorPaths:
     @pytest.mark.parametrize("key, value, message", [
         ("campaign.duration_s", 1e15, "campaign.duration_s: "),
         ("tls.n_tls", 10**12, "tls.n_tls: must be <= "),
+        ("campaign.n_averages", 10**30, "campaign.n_averages: must be <= "),
     ])
     def test_oversized_run_rejected_before_allocation(self, tmp_path, capsys,
                                                       key, value, message):
         cfg = write_config(tmp_path, **{key: value})
         assert cli.main(["campaign", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_timestamp_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        monkeypatch.setenv("THERMOQ_TIMESTAMP", "x")
+        assert cli.main(["rates", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: THERMOQ_TIMESTAMP: expected an ISO 8601 date and time, "
+            "got 'x'\n")
         assert not (tmp_path / "out").exists()
 
     def test_negative_env_seed(self, tmp_path, monkeypatch, capsys):

@@ -227,6 +227,15 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"tls\.n_tls: must be <= "):
             config_mod.parse_config(data)
 
+    def test_averaging_count_cap(self):
+        data = base_config()
+        data["campaign"]["n_averages"] = config_mod.MAX_AVERAGES
+        assert config_mod.parse_config(data).campaign.n_averages == \
+            config_mod.MAX_AVERAGES
+        data["campaign"]["n_averages"] = config_mod.MAX_AVERAGES + 1
+        with pytest.raises(ConfigError, match=r"campaign\.n_averages: must be <= "):
+            config_mod.parse_config(data)
+
     def test_physics_invariants_surface_with_section(self):
         data = base_config()
         data["circuit"]["g_hz"] = 500e6  # breaks the dispersive-regime guard

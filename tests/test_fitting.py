@@ -60,20 +60,6 @@ def test_non_finite_initial_residual():
         fitting.least_squares(residual, [1.0])
 
 
-def test_accepted_residual_norms_never_increase():
-    rng = np.random.default_rng(11)
-    t = np.linspace(0.0, 1.0, 60)
-    y = 2.0 * np.exp(-3.0 * t) + 0.05 * rng.standard_normal(t.size)
-
-    def residual(p):
-        return y - p[0] * np.exp(-p[1] * t)
-
-    res = fitting.least_squares(residual, [1.0, 1.0], names=("amp", "rate"))
-    norms = res.accepted_residual_norms
-    assert len(norms) >= 2
-    assert all(b <= a for a, b in zip(norms, norms[1:]))
-
-
 def test_permutation_equivariance():
     rng = np.random.default_rng(5)
     x = np.linspace(0.0, 2.0, 50)
@@ -131,7 +117,7 @@ class TestFitDecays:
         times, data = noisy_decays(64, 40_000, 3)
         fits = fitting.fit_decays(times, data)
         assert fits.formed.all() and fits.converged.all()
-        for t, y, p, err in zip(times, data, fits.parameters, fits.rate_err):
+        for t, y, p, err in zip(times, data, fits.parameters, fits.stderr("rate")):
             def residual(q):
                 return q[2] + q[1] * np.exp(-q[0] * t) - y
 
@@ -199,6 +185,70 @@ class TestFitDecays:
         assert singular.tolist() == [False, True, False]
         assert np.all(out[0] == 0.5) and np.all(out[2] == 1.0)
         assert np.all(np.isnan(out[1]))
+
+
+class TestFitRows:
+    def test_rows_equal_single_fits(self):
+        # one batch of clean, box-bounded, rank-deficient and non-finite
+        # rows; each row must equal least_squares on that row alone
+        t = np.linspace(0.0, 1.0, 30)
+        rng = np.random.default_rng(12)
+        rates = np.array([3.0, 1.2, 2.5, 9.0, 3.0, 3.0, 5.8])
+        data = 2.0 * np.exp(-rates[:, None] * t) + 0.3
+        data += 0.02 * rng.standard_normal(data.shape)
+        data[5, 4] = math.nan            # non-finite residual at the start
+        starts = np.tile([1.0, 1.0, 0.0], (7, 1))
+        starts[2, 2] = math.nan          # non-finite start
+        starts[4, 0] = 0.0               # zero amplitude: the rate has no effect
+        names = ("amplitude", "rate", "offset")
+        # row 3's rate lies beyond the box, row 6's close to its edge
+        bounds = [None, (0.5, 6.0), None]
+
+        def model(p, rows):
+            return p[:, 0:1] * np.exp(-p[:, 1:2] * t) + p[:, 2:3] - data[rows]
+
+        fits = fitting.fit_rows(model, starts, names=names, bounds=bounds)
+        assert fits.formed.tolist() == [True, True, False, False, False, False, True]
+        assert isinstance(fits.errors[2], ModelDomainError)
+        assert isinstance(fits.errors[3], RankDeficiencyError)
+        assert isinstance(fits.errors[4], RankDeficiencyError)
+        assert isinstance(fits.errors[5], ModelDomainError)
+        assert len(set(fits.n_iterations[fits.formed].tolist())) > 1
+        for i, y in enumerate(data):
+            def single(p):
+                return p[0] * np.exp(-p[1] * t) + p[2] - y
+
+            if not fits.formed[i]:
+                with pytest.raises(type(fits.errors[i])):
+                    fitting.least_squares(single, starts[i], names=names,
+                                          bounds=bounds)
+                continue
+            alone = fitting.least_squares(single, starts[i], names=names,
+                                          bounds=bounds)
+            row = fits.result(i)
+            assert row.parameters == alone.parameters
+            assert row.covariance.tobytes() == alone.covariance.tobytes()
+            assert row.n_iterations == alone.n_iterations
+            assert row.converged == alone.converged
+            assert row.residual_norm == alone.residual_norm
+
+    def test_rows_stop_independently(self):
+        # row 0 converges in a few steps; row 1's residual exp(-p x) keeps
+        # falling as p grows, so it uses every trial step unconverged
+        x = np.linspace(1.0, 2.0, 5)
+        data = np.array([np.exp(-2.0 * x), np.zeros(5)])
+        fits = fitting.fit_rows(lambda p, rows: np.exp(-p * x) - data[rows],
+                                [[1.0], [1.0]])
+        assert fits.converged.tolist() == [True, False]
+        assert fits.n_iterations[1] == fitting._MAX_ITER > fits.n_iterations[0]
+        for i, y in enumerate(data):
+            alone = fitting.least_squares(lambda p: np.exp(-p[0] * x) - y, [1.0])
+            assert fits.result(i).parameters == alone.parameters
+            assert fits.result(i).n_iterations == alone.n_iterations
+
+    def test_too_few_residuals_raise_for_the_batch(self):
+        with pytest.raises(RankDeficiencyError):
+            fitting.fit_rows(lambda p, rows: p[:, :1] - 1.0, [[1.0, 2.0]] * 3)
 
 
 class TestLinearFit:

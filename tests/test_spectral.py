@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from thermoq import spectral, tlssim
+from thermoq import fitting, spectral, tlssim
 from thermoq.constants import TWO_PI, hbar
-from thermoq.errors import DomainError
+from thermoq.errors import DomainError, FitError
 from thermoq.tlssim import TimeSeries
 
 MEAN = TWO_PI * 3.9e6  # typical relaxation-rate level, rad/s
@@ -205,6 +205,119 @@ class TestKneeFit:
         assert not fit_slow.degenerate and not fit_fast.degenerate
         assert fit_fast.beta == pytest.approx(fit_slow.beta, abs=1e-4)
         assert fit_fast.omega_c == pytest.approx(fit_slow.omega_c * 60.0, rel=1e-3)
+
+
+def phenomenological_spectrum(knee_hz, seed):
+    ts = tlssim.simulate_phenomenological(MEAN, 1.0, TWO_PI * knee_hz,
+                                          TWO_PI * 215e3, 12000.0, 10.0, seed=seed)
+    return spectral.psd_estimate(ts)
+
+
+def knee_inputs(spectrum):
+    """Log-data, log-omega, floor start, counts and log-bias correction,
+    as the knee fit forms them from a binned spectrum."""
+    keep = spectrum.values > 0
+    omegas, counts = spectrum.omegas[keep], spectrum.bin_counts[keep]
+    correction = spectral._digamma_int(counts) - np.log(counts)
+    log_data = np.log(spectrum.values[keep]) - correction
+    mu0 = float(np.median(np.exp(log_data)[omegas >= omegas[-1] / 10.0]))
+    return log_data, np.log(omegas), mu0, counts, correction
+
+
+def serial_knee_model_fit(log_data, log_omega, mu0, starts=None):
+    """The knee model fit one start at a time: skip failed starts, keep
+    the first one with the smallest residual norm."""
+    if starts is None:
+        a0 = max(math.exp(log_data[0]) - mu0, 0.01 * mu0) * math.exp(log_omega[0])
+        starts = [[math.log(a0 * a_factor), beta0, math.log(mu0)]
+                  for a_factor, beta0 in
+                  ((1.0, 1.0), (100.0, 1.0), (0.01, 1.0), (1.0, 0.5))]
+
+    def residuals(p):
+        ln_a, beta, ln_mu = p
+        return np.logaddexp(ln_a - beta * log_omega, ln_mu) - log_data
+
+    best = None
+    for p0 in starts:
+        try:
+            result = fitting.least_squares(
+                residuals, list(p0), names=("ln_amplitude", "beta", "ln_mu"),
+                bounds=[None, (0.0, 4.0), None])
+        except FitError:
+            continue
+        if best is None or result.residual_norm < best.residual_norm:
+            best = result
+    if best is None:
+        raise FitError("knee model fit failed from every initialization")
+    return best
+
+
+def serial_bootstrap(spectrum):
+    """Kept replica count and bias-corrected beta of the knee fit's
+    bootstrap, drawing and refitting one replica at a time."""
+    log_data, log_omega, mu0, counts, correction = knee_inputs(spectrum)
+    try:
+        r = serial_knee_model_fit(log_data, log_omega, mu0)
+    except FitError:
+        line = fitting.linear_fit(log_omega, log_data)
+        fitted = np.array([line.parameters["intercept"], -line.parameters["slope"]])
+        model_log = fitted[0] - fitted[1] * log_omega
+
+        def refit(synthetic):
+            r = fitting.linear_fit(log_omega, synthetic)
+            return [r.parameters["intercept"], -r.parameters["slope"]]
+    else:
+        fitted = np.array([r.parameters[n] for n in ("ln_amplitude", "beta", "ln_mu")])
+        ln_a, beta, ln_mu = fitted
+        model_log = np.logaddexp(ln_a - beta * log_omega, ln_mu)
+        warm = [ln_a, min(max(beta, 1e-6), 4.0 - 1e-6), ln_mu]
+
+        def refit(synthetic):
+            r = serial_knee_model_fit(synthetic, log_omega, math.exp(ln_mu),
+                                      starts=[warm])
+            return [r.parameters["ln_amplitude"], r.parameters["beta"],
+                    r.parameters["ln_mu"]]
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(12345)))
+    replicas = []
+    for _ in range(64):
+        noise = np.log(rng.chisquare(2 * counts) / (2 * counts)) - correction
+        try:
+            replicas.append(refit(model_log + noise))
+        except FitError:
+            continue
+    corrected = fitted - (np.mean(replicas, axis=0) - fitted)
+    return len(replicas), float(np.clip(corrected[1], 0.0, 4.0))
+
+
+class TestBatchedKneeFit:
+    @pytest.mark.parametrize("seed", [0, 2, 3, 4, 5, 6, 7])
+    def test_multi_start_batch_picks_the_serial_choice(self, seed):
+        log_data, log_omega, mu0, _, _ = knee_inputs(phenomenological_spectrum(1e-3, seed))
+        batched = spectral._knee_model_fit(log_data, log_omega, mu0)
+        serial = serial_knee_model_fit(log_data, log_omega, mu0)
+        assert batched.parameters == serial.parameters
+        assert batched.covariance.tobytes() == serial.covariance.tobytes()
+        assert batched.n_iterations == serial.n_iterations
+
+    @pytest.mark.parametrize("knee_hz, seed, kept", [
+        (1e-3, 3, 55),  # knee inside the window; some replicas fail
+        (1.0, 1, 64),   # knee above the window: the floorless path
+    ])
+    def test_bootstrap_equals_serial_replicas(self, monkeypatch, knee_hz, seed, kept):
+        batches = []
+        knee_fits = spectral._knee_fits
+
+        def recording(*args):
+            batches.append(knee_fits(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(spectral, "_knee_fits", recording)
+        spectrum = phenomenological_spectrum(knee_hz, seed)
+        fit = spectral.fit_knee_spectrum(spectrum)
+        assert serial_bootstrap(spectrum) == (kept, fit.beta)
+        if kept < 64:
+            assert int(batches[-1].formed.sum()) == kept
 
 
 class TestFloorScalingFit:
