@@ -339,15 +339,21 @@ class _DecaySums:
     norm = staticmethod(lambda x: np.linalg.norm(x, axis=1))
     variance = staticmethod(lambda norm, dof: norm**2 / dof)
 
+    def _rows(self, rows):
+        # rows is ascending, so a full set is every row: no copy needed
+        if len(rows) == len(self.times):
+            return self.times, self.data
+        return self.times[rows], self.data[rows]
+
     def residuals(self, q, rows):
-        return (q[:, 2:3] + q[:, 1:2] * np.exp(-q[:, 0:1] * self.times[rows])
-                - self.data[rows])
+        times, data = self._rows(rows)
+        return q[:, 2:3] + q[:, 1:2] * np.exp(-q[:, 0:1] * times) - data
 
     def normal_equations(self, q, rows):
-        times = self.times[rows]
+        times, data = self._rows(rows)
         amplitude = q[:, 1]
         envelope = np.exp(-q[:, 0:1] * times)
-        residual = q[:, 2:3] + q[:, 1:2] * envelope - self.data[rows]
+        residual = q[:, 2:3] + q[:, 1:2] * envelope - data
         weighted = times * envelope
         normal = np.empty((len(q), 3, 3))
         normal[:, 0, 0] = amplitude**2 * _row_dot(weighted, weighted)

@@ -7,9 +7,12 @@ write-then-read round trip is the identity on IEEE doubles.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoq import io
 from thermoq.cavity import StarkSweepPoint
@@ -99,6 +102,187 @@ def test_table_write_rejects_ragged_columns(tmp_path):
         io.DEPHASING_SWEEP.write(tmp_path / "x.csv", ([0.1, 0.2], [1.0]))
     with pytest.raises(ValueError):
         io.DEPHASING_SWEEP.write(tmp_path / "x.csv", ([0.1, 0.2],))
+
+
+HZ_TABLES = {name: table for name, table in TABLES.items() if table.hz}
+
+
+def fast_path_values():
+    """Omegas for the vectorised Hz path: mostly routine rows, plus every
+    kind of row it must hand to the exact path, over more than two blocks."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+    routine = TWO_PI * (3.9e6 + 215e3 * rng.standard_normal(2**14))
+    halfway = near_halfway(rng, TWO_PI * 1e6, 40, TWO_PI)
+    # exact quotients: short decimals, and dyadic ones that sit exactly on
+    # a 17-digit rounding midpoint (3/2**25 Hz is 8.94069671630859375e-8)
+    short = TWO_PI * np.arange(1, 2001) / 655360
+    dyadic = [sign * TWO_PI * j / 2.0**s for sign in (1, -1)
+              for j in (1, 3, 5, 7) for s in range(1, 61)]
+    # Hz within an ulp of where Decimal switches notation
+    switch = [np.nextafter(x, x * direction) for hz in (1e-7, 1e-6, 1e16, 1e17)
+              for x in (TWO_PI * hz, -TWO_PI * hz) for direction in (0.0, 1.0, 2.0)]
+    extremes = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.0, -0.0]
+    values = np.concatenate([routine, halfway, short, dyadic, switch, extremes])
+    return values[rng.permutation(values.size)]
+
+
+def exact_tokens(table, columns):
+    """The rows the exact per-value functions alone would write."""
+    return [",".join(io._render_hz(x) if name in table.hz else io._render_float(x)
+                     for name, x in zip(table.header, row))
+            for row in zip(*(c.tolist() for c in columns))]
+
+
+@pytest.mark.parametrize("name", HZ_TABLES)
+def test_fast_path_equals_exact_path(tmp_path, name):
+    table = HZ_TABLES[name]
+    values = fast_path_values()
+    columns = [np.roll(values, 7 * i) if col in table.hz else np.roll(values, i) / TWO_PI
+               for i, col in enumerate(table.header)]
+    path = tmp_path / f"{name}.csv"
+    table.write(path, columns)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == exact_tokens(table, columns)
+    tokens = list(zip(*(line.split(",") for line in lines[1:])))
+    for col, token_column, read in zip(table.header, tokens, table.read(path)):
+        parse = io._parse_hz if col in table.hz else float
+        expected = np.array([parse(token) for token in token_column])
+        assert read.tobytes() == expected.tobytes()
+
+
+def test_fast_path_takes_nearly_every_row(tmp_path, monkeypatch):
+    """Routine values must not all fall through to the exact functions."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(6)))
+    n = 2 * io._BLOCK + 100
+    # gamma1-scale rates and magnitudes over 36 decades, plain and scientific
+    values = TWO_PI * np.where(rng.uniform(size=n) < 0.5,
+                               3.9e6 + 215e3 * rng.standard_normal(n),
+                               -(10.0 ** rng.uniform(-12, 24, n)))
+    calls = {"render": 0, "parse": 0}
+
+    def counted(key, function):
+        def wrapper(arg):
+            calls[key] += 1
+            return function(arg)
+        return wrapper
+
+    monkeypatch.setattr(io, "_render_hz", counted("render", io._render_hz))
+    monkeypatch.setattr(io, "_parse_hz", counted("parse", io._parse_hz))
+    path = tmp_path / "series.csv"
+    io.TIME_SERIES.write(path, (np.arange(n) * 10.0, values))
+    _, read = io.TIME_SERIES.read(path)
+    assert read.tobytes() == values.tobytes()
+    assert calls["render"] <= n // 1000
+    assert calls["parse"] <= n // 1000
+
+
+def convergents(x):
+    """Continued-fraction convergents p/q of the Fraction x."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = math.floor(x)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        yield p1, q1
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
+def near_ties(count):
+    """Tokens D*10**E, D < 10**18, whose product with 2pi lies far closer to
+    a midpoint between two doubles than a double-double resolves: D/(2j+1)
+    is a convergent of 2**(s-1)/(10**E * 2pi), with 2j+1 in [2**53, 2**54)."""
+    found = []
+    for exponent in range(-30, 30):
+        scale = Fraction(10) ** exponent * Fraction(TWO_PI)
+        for s in range(-200, 200):
+            alpha = Fraction(2) ** (s - 1) / scale
+            if not 2**-60 < alpha < 2**7:
+                continue
+            for p, q in convergents(alpha):
+                if q >= 2**54 or p >= 10**18:
+                    break
+                if q >= 2**53 and q % 2:
+                    found.append(f"{p}E{exponent:+d}")
+        if len(found) >= count:
+            return found[:count]
+
+
+def test_reader_near_ties_match_exact_path(tmp_path):
+    tokens = near_ties(400)
+    path = tmp_path / "stark.csv"
+    path.write_text("temp_k,shift_hz\n" + "".join(f"0.5,{t}\n" for t in tokens),
+                    encoding="utf-8")
+    expected = np.array([io._parse_hz(t) for t in tokens])
+    assert io.STARK_SWEEP.read(path)[1].tobytes() == expected.tobytes()
+
+
+def reference_read(table, path):
+    """Table.read as a plain loop: every token through the exact ``_parse``."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    expected = ",".join(table.header)
+    if not lines or lines[0] != expected:
+        raise CsvFormatError(f"row 1: expected header '{expected}'")
+    numbers, rows = [], []
+    for number, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        tokens = line.split(",")
+        if len(tokens) != len(table.header):
+            raise CsvFormatError(f"row {number}: expected "
+                                 f"{len(table.header)} columns, got {len(tokens)}")
+        numbers.append(number)
+        rows.append(tokens)
+    if not rows:
+        raise CsvFormatError("row 2: no data rows")
+    return [np.array([io._parse(io._parse_hz if name in table.hz else float,
+                                token, number, name)
+                      for token, number in zip(tokens, numbers)])
+            for name, tokens in zip(table.header, zip(*rows))]
+
+
+# tokens near the writer's grammar, and anything else the reader may meet
+TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(io._render_hz),
+    st.floats(allow_nan=False, allow_infinity=False).map(io._render_float),
+    st.from_regex(r"-?[0-9]{1,20}(\.[0-9]{0,20})?([eE][+-]?[0-9]{1,4})?", fullmatch=True),
+    st.text(alphabet="0123456789.-+eE_ \u0663\u0661", max_size=12),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1_000", " 2", "١٢"]),
+)
+
+
+# routine rows, enough for the column to take the vectorised path
+BASE_ROWS = [(io._render_float(0.05 * i), io._render_hz(TWO_PI * 1e5 * (i - 30.5)))
+             for i in range(io._FAST_MIN_ROWS)]
+
+
+FLOAT_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(io._render_float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extra=st.lists(st.tuples(st.integers(0, len(BASE_ROWS)), FLOAT_TOKENS, TOKENS),
+                      max_size=6),
+       bad_temp=st.none() | st.tuples(st.integers(0, len(BASE_ROWS) - 1), TOKENS))
+def test_reader_grammar_matches_exact_parse(tmp_path_factory, extra, bad_temp):
+    rows = list(BASE_ROWS)
+    for at, temp, shift in extra:
+        rows.insert(at, (temp, shift))
+    if bad_temp is not None:
+        at, temp = bad_temp
+        rows[at] = (temp, rows[at][1])
+    path = tmp_path_factory.mktemp("grammar") / "stark.csv"
+    path.write_text("temp_k,shift_hz\n" + "".join(f"{a},{b}\n" for a, b in rows),
+                    encoding="utf-8")
+    try:
+        expected = reference_read(io.STARK_SWEEP, path)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as excinfo:
+            io.STARK_SWEEP.read(path)
+        assert str(excinfo.value) == str(exc)
+        return
+    for read, want in zip(io.STARK_SWEEP.read(path), expected):
+        assert read.tobytes() == want.tobytes()
 
 
 class TestTimeSeriesRoundTrip:
