@@ -12,9 +12,11 @@ so it passes through unscaled.
 Unknown keys are rejected, and every diagnostic names the offending
 field path (e.g. ``circuit.g_hz``).  Numbers must be finite, and the
 run sizes are capped before anything is allocated: a campaign holds all
-its relaxation traces at once (about 2.2 kB per tick at peak), and each
-TLS costs about 0.75 kB plus one pass over the tick grid.  Averaging
-counts stop at the largest count the binomial shot-noise sampler takes.
+its relaxation traces at once (about 2.2 kB per tick at peak), each
+TLS costs about 0.75 kB plus one pass over the tick grid, and each
+expected telegraph switch of the microscopic model costs one exponential
+draw and a few words of run bookkeeping.  Averaging counts stop at the
+largest count the binomial shot-noise sampler takes.
 """
 
 from __future__ import annotations
@@ -29,10 +31,14 @@ from .constants import TWO_PI, hbar
 from .decoherence import CouplingGeometry
 from .errors import ConfigError, ValidationError
 from .experiments import CampaignConfig
-from .tlssim import EnsembleConfig
+from .tlssim import T_REF, EnsembleConfig
 
 MAX_CAMPAIGN_TICKS = 2**18  # about 0.6 GB at peak for a whole campaign
 MAX_TLS = 100_000
+# Expected telegraph switches of a whole microscopic record.  About 39 B
+# per switch at peak when one TLS holds them all (tracemalloc, 2^22
+# switches in one TLS over 2^17 samples: 157 MiB), so about 0.65 GB here.
+MAX_SWITCHES = 2**24
 MAX_AVERAGES = 2**63 - 1  # the largest count Generator.binomial takes (a C long)
 
 
@@ -277,7 +283,19 @@ def parse_config(data) -> RunConfig:
     root.close()
     if not run.s_delta > 0:
         raise ConfigError("s_delta_w_per_hz: must be > 0")
+    _check_switch_count(run.tls, run.campaign)
     return run
+
+
+def _check_switch_count(tls: EnsembleConfig, campaign: CampaignConfig) -> None:
+    """Refuse an ensemble whose fastest rate would switch too often."""
+    switches = (tls.n_tls * tls.rate_decades[1] * (campaign.temperature / T_REF)
+                * campaign.duration)
+    if switches > MAX_SWITCHES:
+        raise ConfigError(
+            f"tls.rate_decades: n_tls * rate_decades[1] * temperature_k / "
+            f"{T_REF:g} K * duration_s = {switches:.6g} switches, above the "
+            f"cap of {MAX_SWITCHES}")
 
 
 def _reject_constant(name: str):

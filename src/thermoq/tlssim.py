@@ -11,7 +11,9 @@ T/T_ref (T_ref = 1 K) on the switching rates -- the simplest monotone
 thermal-activation proxy; no quantitative microscopic rate law is
 asserted.  Telegraph switching is event-driven (exponential waiting
 times), which keeps the statistics correct for switch rates far below
-the sampling rate.
+the sampling rate.  Only the m switches of a TLS are located on the
+n-sample grid (a switch at a sample time counts at that sample); its
+levels then fill the runs between them, O(m log n) plus one pass.
 
 Every realization derives its random stream from the integer seed (one
 independent substream per TLS), so results are reproducible regardless
@@ -163,11 +165,10 @@ def sample_ensemble(config: EnsembleConfig) -> list[Tls]:
     ]
 
 
-def _telegraph_states(rng, rate: float, times: np.ndarray, duration: float) -> np.ndarray:
-    """State (+/-1) of a symmetric telegraph process at the sample times."""
-    state0 = 1 if rng.random() < 0.5 else -1
+def _switch_times(rng, rate: float, duration: float) -> np.ndarray:
+    """Switch times of a telegraph process at ``rate``, until past ``duration``."""
     if rate <= 0:
-        return np.full(times.size, state0)
+        return np.empty(0)
     switch_times = []
     total = 0.0
     chunk = max(16, int(rate * duration * 1.2) + 16)
@@ -176,9 +177,14 @@ def _telegraph_states(rng, rate: float, times: np.ndarray, duration: float) -> n
         cum = total + np.cumsum(waits)
         switch_times.append(cum)
         total = float(cum[-1])
-    switch_times = np.concatenate(switch_times)
-    n_switches = np.searchsorted(switch_times, times, side="right")
-    return np.where(n_switches % 2 == 0, state0, -state0)
+    return np.concatenate(switch_times)
+
+
+def _alternate_levels(times: np.ndarray, switch_times: np.ndarray, levels) -> np.ndarray:
+    """The two ``levels`` in turn over the runs of samples between switches."""
+    idx = np.searchsorted(times, switch_times, side="left")
+    lengths = np.diff(np.concatenate(([0], idx, [times.size])))
+    return np.repeat(np.tile(levels, lengths.size // 2 + 1)[:lengths.size], lengths)
 
 
 def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
@@ -189,7 +195,10 @@ def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
     at the temperature-scaled rate switch_rate * (T/T_ref), with exact
     exponential waiting times; its contribution at time t is
     coupling * (linewidth/2)^2 / [(linewidth/2)^2 + (omega_q - omega(t))^2].
-    Identical output for identical seed, independent of parallelism.
+    A switch counts from the first sample at or after it; the two levels
+    alternate, from a random start, over the runs of samples between
+    switches.  ``ensemble`` may be any iterable of Tls.  Identical output
+    for identical seed, independent of parallelism.
     """
     if not dt > 0:
         raise DomainError("dt must be > 0")
@@ -197,17 +206,20 @@ def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
         raise DomainError("duration must be at least 10 * dt")
     if T < 0:
         raise DomainError("temperature must be >= 0")
+    ensemble = list(ensemble)
     n = int(round(duration / dt))
     times = dt * np.arange(n)
     values = np.full(n, float(base_gamma1))
-    children = np.random.SeedSequence(seed).spawn(len(list(ensemble))) if ensemble else []
+    children = np.random.SeedSequence(seed).spawn(len(ensemble))
     for tls, child in zip(ensemble, children):
         rng = np.random.Generator(np.random.PCG64(child))
-        state = _telegraph_states(rng, tls.switch_rate * (T / T_REF), times, duration)
+        up_first = rng.random() < 0.5
         half = tls.linewidth / 2
         v_up = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls + tls.jump / 2)) ** 2)
         v_dn = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls - tls.jump / 2)) ** 2)
-        values += np.where(state == 1, v_up, v_dn)
+        switch_times = _switch_times(rng, tls.switch_rate * (T / T_REF), duration)
+        values += _alternate_levels(times, switch_times,
+                                    (v_up, v_dn) if up_first else (v_dn, v_up))
     return TimeSeries(t0=0.0, dt=dt, values=values, seed_used=seed)
 
 

@@ -366,6 +366,14 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_switch_count_cap_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"tls.rate_decades": [1e-5, 1e3],
+                                        "campaign.temperature_k": 300.0})
+        assert cli.main(["tls-sim", "--config", str(cfg),
+                         "--mode", "microscopic"]) == 2
+        assert capsys.readouterr().err.startswith("error: tls.rate_decades: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_timestamp_writes_nothing(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)
         monkeypatch.setenv("THERMOQ_TIMESTAMP", "x")

@@ -227,6 +227,32 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"tls\.n_tls: must be <= "):
             config_mod.parse_config(data)
 
+    def test_switch_count_cap(self):
+        data = base_config()
+        # 256 TLS * 4 /s * (1 K / T_ref) * 16384 s = 2^24 expected switches
+        data["tls"]["n_tls"] = 256
+        data["tls"]["rate_decades"] = [1e-5, 4.0]
+        data["campaign"]["temperature_k"] = 1.0
+        data["campaign"]["duration_s"] = 16384.0
+        assert config_mod.MAX_SWITCHES == 2**24
+        assert config_mod.parse_config(data).tls.rate_decades == (1e-5, 4.0)
+        data["tls"]["rate_decades"] = [1e-5, 4.000001]
+        with pytest.raises(ConfigError, match=r"tls\.rate_decades: .* above the cap"):
+            config_mod.parse_config(data)
+
+    def test_switch_count_cap_refuses_hot_fast_ensemble(self):
+        # about 4e9 exponential waits per TLS if it were simulated
+        data = base_config()
+        data["tls"]["rate_decades"] = [1e-5, 1e3]
+        data["campaign"]["temperature_k"] = 300.0
+        with pytest.raises(ConfigError, match=r"^tls\.rate_decades: .*7\.2e\+11 switches"):
+            config_mod.parse_config(data)
+
+    def test_long_record_is_under_the_switch_cap(self):
+        data = base_config()
+        data["campaign"]["duration_s"] = 2**17 * 10.0
+        assert config_mod.parse_config(data).campaign.duration == 2**17 * 10.0
+
     def test_averaging_count_cap(self):
         data = base_config()
         data["campaign"]["n_averages"] = config_mod.MAX_AVERAGES

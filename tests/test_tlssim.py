@@ -1,12 +1,14 @@
 """Tests for the TLS ensemble Monte Carlo and the phenomenological generator."""
 
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from thermoq import tlssim
+from thermoq import cli, config, spectral, tlssim
 from thermoq.constants import TWO_PI, hbar
 from thermoq.errors import DomainError, NonNormalizableError
 
@@ -17,6 +19,59 @@ def make_config(**overrides):
     values = dict(n_tls=200, seed=1)
     values.update(overrides)
     return tlssim.EnsembleConfig(**values)
+
+
+def make_tls(switch_rate):
+    return tlssim.Tls(
+        epsilon=hbar * OMEGA_Q, delta_t=hbar * OMEGA_Q / 10,
+        coupling=TWO_PI * 10e3, linewidth=TWO_PI * 1e9,
+        switch_rate=switch_rate, jump=TWO_PI * 1e9,
+    )
+
+
+def _per_sample_states(rng, rate, times, duration):
+    """State (+/-1) of a symmetric telegraph process at the sample times.
+
+    The per-sample search that the run-length fill replaced, kept
+    verbatim as the reference for bit identity.
+    """
+    state0 = 1 if rng.random() < 0.5 else -1
+    if rate <= 0:
+        return np.full(times.size, state0)
+    switch_times = []
+    total = 0.0
+    chunk = max(16, int(rate * duration * 1.2) + 16)
+    while total <= duration:
+        waits = rng.exponential(1.0 / rate, chunk)
+        cum = total + np.cumsum(waits)
+        switch_times.append(cum)
+        total = float(cum[-1])
+    switch_times = np.concatenate(switch_times)
+    n_switches = np.searchsorted(switch_times, times, side="right")
+    return np.where(n_switches % 2 == 0, state0, -state0)
+
+
+def _per_sample_values(ensemble, omega_q, T, duration, dt, seed, base_gamma1):
+    """gamma1(t) accumulated from per-sample states, as before the run-length fill."""
+    n = int(round(duration / dt))
+    times = dt * np.arange(n)
+    values = np.full(n, float(base_gamma1))
+    children = np.random.SeedSequence(seed).spawn(len(ensemble))
+    for tls, child in zip(ensemble, children):
+        rng = np.random.Generator(np.random.PCG64(child))
+        state = _per_sample_states(rng, tls.switch_rate * (T / tlssim.T_REF), times, duration)
+        half = tls.linewidth / 2
+        v_up = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls + tls.jump / 2)) ** 2)
+        v_dn = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls - tls.jump / 2)) ** 2)
+        values += np.where(state == 1, v_up, v_dn)
+    return values
+
+
+def _sample_json_ensemble():
+    run = config.load_config(pathlib.Path(__file__).resolve().parent.parent / "sample.json")
+    ensemble_seed, dynamics_seed = cli._spawn_seeds(run.seed, 2)
+    ensemble = tlssim.sample_ensemble(dataclasses.replace(run.tls, seed=ensemble_seed))
+    return run, ensemble, dynamics_seed
 
 
 class TestTimeSeries:
@@ -103,11 +158,7 @@ class TestSimulateMicroscopic:
         assert np.all(ts.values >= base)
 
     def test_single_tls_telegraph_occupancy(self):
-        tls = tlssim.Tls(
-            epsilon=hbar * OMEGA_Q, delta_t=hbar * OMEGA_Q / 10,
-            coupling=TWO_PI * 10e3, linewidth=TWO_PI * 1e9,
-            switch_rate=0.05, jump=TWO_PI * 1e9,
-        )
+        tls = make_tls(0.05)
         ts = tlssim.simulate_microscopic([tls], OMEGA_Q, 1.0, 12000.0, 10.0,
                                          seed=21, base_gamma1=0.0)
         levels = np.unique(ts.values)
@@ -117,11 +168,7 @@ class TestSimulateMicroscopic:
         assert abs(frac_high - 0.5) < 3 * math.sqrt(0.25 / 600)
 
     def test_temperature_scales_switching(self):
-        tls = tlssim.Tls(
-            epsilon=hbar * OMEGA_Q, delta_t=hbar * OMEGA_Q / 10,
-            coupling=TWO_PI * 10e3, linewidth=TWO_PI * 1e9,
-            switch_rate=0.02, jump=TWO_PI * 1e9,
-        )
+        tls = make_tls(0.02)
 
         def n_transitions(T):
             ts = tlssim.simulate_microscopic([tls], OMEGA_Q, T, 50000.0, 10.0,
@@ -142,6 +189,13 @@ class TestSimulateMicroscopic:
         h1, h2 = blocks[:10], blocks[10:]
         se = math.sqrt(h1.var(ddof=1) / h1.size + h2.var(ddof=1) / h2.size)
         assert abs(h1.mean() - h2.mean()) < 4 * se
+
+    def test_any_iterable_ensemble(self):
+        ensemble = tlssim.sample_ensemble(make_config(n_tls=20))
+        runs = [tlssim.simulate_microscopic(e, OMEGA_Q, 1.0, 12000.0, 10.0, seed=3).values
+                for e in (ensemble, tuple(ensemble), iter(ensemble))]
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+        assert np.unique(runs[0]).size > 1
 
     def test_duration_guard(self):
         with pytest.raises(DomainError):
@@ -166,6 +220,109 @@ class TestSimulateMicroscopic:
             if not fit.degenerate and 0.7 <= fit.beta <= 1.3:
                 in_band += 1
         assert in_band >= 80
+
+
+class TestRunLengthFill:
+    """The run-length fill equals the per-sample search bit for bit."""
+
+    def test_levels_alternate_over_hand_made_switches(self):
+        times = np.arange(6.0)
+        # one switch exactly on sample 2, three inside (2, 3), one past the end
+        switch_times = np.array([0.5, 2.0, 2.2, 2.4, 2.6, 4.5, 7.0])
+        parity = tlssim._alternate_levels(times, switch_times, (0, 1))
+        counted = np.searchsorted(switch_times, times, side="right") % 2
+        assert parity.tolist() == counted.tolist() == [0, 1, 0, 1, 1, 0]
+
+    def test_switch_at_first_sample_and_none_inside(self):
+        times = np.arange(4.0)
+        levels = (2.5, -1.0)
+        assert tlssim._alternate_levels(times, np.array([0.0, 9.0]),
+                                        levels).tolist() == [-1.0] * 4
+        assert tlssim._alternate_levels(times, np.array([9.0]),
+                                        levels).tolist() == [2.5] * 4
+        assert tlssim._alternate_levels(times, np.empty(0),
+                                        levels).tolist() == [2.5] * 4
+
+    @pytest.mark.parametrize("n_tls, rate_decades, T, duration, dt", [
+        (50, (1e-5, 1e-1), 0.0, 12000.0, 10.0),    # T = 0: rate 0, no draws
+        (5, (1.0, 10.0), 20.0, 2000.0, 1.0),       # 20-200 switches per interval
+        (30, (1e-3, 1e-1), 1.0, 12370.0, 10.0),    # 1237 samples
+        (1, (1e-3, 1e-1), 1.0, 12000.0, 10.0),     # a single TLS
+        (20, (1e-5, 1e-1), 5.0, 2.0**14 * 10, 10.0),
+    ])
+    def test_bit_identical_to_per_sample_search(self, n_tls, rate_decades, T,
+                                                duration, dt):
+        ensemble = tlssim.sample_ensemble(make_config(
+            n_tls=n_tls, rate_decades=rate_decades, seed=8))
+        base = TWO_PI * 3.9e6
+        ts = tlssim.simulate_microscopic(ensemble, OMEGA_Q, T, duration, dt,
+                                         seed=17, base_gamma1=base)
+        expected = _per_sample_values(ensemble, OMEGA_Q, T, duration, dt, 17, base)
+        assert ts.values.tobytes() == expected.tobytes()
+
+    def test_bit_identical_on_sample_json_ensemble(self):
+        run, ensemble, seed = _sample_json_ensemble()
+        args = (run.circuit.omega_q0, run.campaign.temperature,
+                run.campaign.duration, 1.0 / run.campaign.point_rate, seed)
+        assert len(ensemble) == 200
+        ts = tlssim.simulate_microscopic(ensemble, *args,
+                                         base_gamma1=run.tls.base_gamma1)
+        expected = _per_sample_values(ensemble, *args, run.tls.base_gamma1)
+        assert ts.values.tobytes() == expected.tobytes()
+
+    def test_bit_identical_with_switches_past_the_last_sample(self):
+        # the record ends at 990 s, 14.9 s before the duration, and a
+        # rate of 2/s puts about 30 switches in between
+        tls = make_tls(2.0)
+        duration, dt, seed = 1004.9, 10.0, 5
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+        rng.random()
+        assert np.count_nonzero(tlssim._switch_times(rng, 2.0, duration) > 990.0) > 10
+        ts = tlssim.simulate_microscopic([tls], OMEGA_Q, 1.0, duration, dt, seed)
+        expected = _per_sample_values([tls], OMEGA_Q, 1.0, duration, dt, seed, 0.0)
+        assert ts.values.size == 100
+        assert ts.values.tobytes() == expected.tobytes()
+
+
+class TestTelegraphSpectrum:
+    def test_mean_periodogram_matches_sampled_telegraph_spectrum(self):
+        # A symmetric telegraph process flipping at rate r between levels
+        # mean +/- sigma, sampled every dt, has autocovariance
+        # sigma^2 rho^|k| with rho = exp(-2 r dt), so its spectrum is
+        # sigma^2 (1 - rho^2) / |1 - rho exp(-i omega dt)|^2 (Machlup
+        # 1954, in sampled form: no aliasing term); independent TLS add.
+        # The finite record shifts the expected periodogram from this by
+        # under 0.6 % at every bin here (Fejer kernel, computed apart).
+        ensemble = [make_tls(rate) for rate in (0.02, 0.1, 0.4)]
+        dt, n, n_records, group = 1.0, 4096, 64, 64
+        omegas = TWO_PI * np.arange(1, n // 2) / (n * dt)  # Nyquist left out
+        expected = np.zeros(omegas.size)
+        for tls in ensemble:
+            half = tls.linewidth / 2
+            centers = tls.omega_tls + np.array([1, -1]) * tls.jump / 2
+            v_up, v_dn = tls.coupling * half**2 / (half**2 + (OMEGA_Q - centers) ** 2)
+            sigma = (v_up - v_dn) / 2
+            rho = math.exp(-2 * tls.switch_rate * dt)
+            expected += sigma**2 * (1 - rho**2) / np.abs(1 - rho * np.exp(-1j * omegas * dt)) ** 2
+        expected *= (hbar / TWO_PI) * 2 * dt  # one-sided, as spectral.periodogram
+        mean = np.zeros(omegas.size)
+        for seed in range(n_records):
+            ts = tlssim.simulate_microscopic(ensemble, OMEGA_Q, tlssim.T_REF,
+                                             n * dt, dt, seed)
+            raw = spectral.periodogram(ts)
+            assert np.allclose(raw.omegas[:omegas.size], omegas, rtol=1e-12)
+            mean += raw.values[:omegas.size] / n_records
+        # Per record each bin is expected * chi2_2 / 2; a group of bins
+        # averaged over the records is then chi2 to Satterthwaite's
+        # effective degrees of freedom.  Two-sided, 1e-3 over all groups.
+        m = omegas.size // group * group
+        observed = mean[:m].reshape(-1, group).sum(axis=1)
+        grouped = expected[:m].reshape(-1, group)
+        nu = 2 * n_records * grouped.sum(axis=1) ** 2 / (grouped**2).sum(axis=1)
+        alpha = 1e-3 / nu.size
+        ratio = observed / grouped.sum(axis=1)
+        assert np.all(stats.chi2.ppf(alpha / 2, nu) / nu < ratio)
+        assert np.all(ratio < stats.chi2.ppf(1 - alpha / 2, nu) / nu)
 
 
 class TestSimulatePhenomenological:
