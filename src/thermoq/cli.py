@@ -133,6 +133,7 @@ def _fit_payload(fit) -> dict:
         "amplitude": fit.amplitude,
         "amplitude_err": fit.amplitude_err,
         "fit_window_hz": [_hz(fit.fit_window[0]), _hz(fit.fit_window[1])],
+        "lr_statistic": fit.lr_statistic,
         "degenerate": fit.degenerate,
     }
 

@@ -385,16 +385,6 @@ def fit_decays(times, data) -> Fits:
     return replace(fits, formed=fits.formed & np.isfinite(fits.covariance).all(axis=(1, 2)))
 
 
-def fit_lines(x, y):
-    """Least-squares slope and intercept of y = slope*x + intercept for
-    every row of ``y`` (..., n) over the shared abscissae ``x``."""
-    xbar = float(x.mean())
-    sxx = float(np.sum((x - xbar) ** 2))
-    ybar = y.mean(axis=-1)
-    slope = np.sum((x - xbar) * (y - np.expand_dims(ybar, -1)), axis=-1) / sxx
-    return slope, ybar - slope * xbar
-
-
 def linear_fit(x, y) -> FitResult:
     """Ordinary least squares of y = slope*x + intercept with standard errors."""
     x = np.asarray(x, dtype=float)
@@ -405,7 +395,9 @@ def linear_fit(x, y) -> FitResult:
     sxx = float(np.sum((x - xbar) ** 2))
     if sxx == 0.0:
         raise DegenerateDataError("all abscissae are equal")
-    slope, intercept = map(float, fit_lines(x, y))
+    ybar = float(y.mean())
+    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    intercept = ybar - slope * xbar
     resid = y - (intercept + slope * x)
     norm = float(np.linalg.norm(resid))
     n = x.size

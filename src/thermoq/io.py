@@ -376,6 +376,8 @@ def write_spectrum(path, spectrum: Spectrum) -> None:
 
 
 def read_spectrum(path) -> Spectrum:
+    """A spectrum CSV as a Spectrum.  The file carries no bin counts, so
+    every value counts as one raw periodogram point when it is fitted."""
     omegas, values = SPECTRUM.read(path)
     return Spectrum(omegas=omegas, values=values)
 

@@ -10,8 +10,9 @@ the floor-versus-temperature power law mu0 + a*T^(2+x).
 A single log-binned periodogram is used rather than segment averaging:
 records of ~1200 points barely cover three decades, and segmenting
 would destroy the lowest decade where the spectral exponent lives.  The
-knee fit runs in log-space with equal bin weights, which equalizes
-leverage across decades.
+knee fit maximizes the Whittle likelihood of the bin means, weighting
+each bin by its raw-point count, and one likelihood-ratio test against
+a white spectrum decides whether the record is colored at all.
 """
 
 import math
@@ -31,16 +32,14 @@ CONVENTION_NOTE = (
     "sum(S * delta_f) = hbar * Var(series) / 2pi."
 )
 
-_EULER_GAMMA = 0.5772156649015329
-
-
 @dataclass
 class Spectrum:
     """One-sided spectral density S(omega), W/Hz on a rad/s axis.
 
-    bin_counts, when present, records how many raw periodogram points
-    each (log-binned) value averages; it is needed both for exact
-    integration and for unbiased log-space fitting.
+    bin_counts records how many raw periodogram points each (log-binned)
+    value averages; it is needed both for exact integration and for the
+    likelihood of the knee fit.  Left out, every value counts as one raw
+    periodogram point.
     """
 
     omegas: np.ndarray
@@ -59,8 +58,9 @@ class Spectrum:
             raise DomainError("frequencies must be strictly increasing")
         if np.any(self.values < 0):
             raise DomainError("spectral values must be non-negative")
-        if self.bin_counts is not None:
-            self.bin_counts = np.asarray(self.bin_counts)
+        if self.bin_counts is None:
+            self.bin_counts = np.ones(self.values.size, dtype=int)
+        self.bin_counts = np.asarray(self.bin_counts)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,9 @@ class SpectrumFit:
     are NaN.  The opposite boundary — a record falling as a power law
     through the whole window with no resolvable floor — reports mu = 0
     with mu_err holding the detection bound (the smallest binned level)
-    and omega_c pinned at the top window edge.
+    and omega_c pinned at the top window edge.  lr_statistic is the
+    likelihood ratio of the knee model against a white spectrum that
+    made the call: colored above ``LR_THRESHOLD``.
     """
 
     beta: float
@@ -85,6 +87,7 @@ class SpectrumFit:
     mu_err: float
     amplitude_err: float
     fit_window: tuple
+    lr_statistic: float
     degenerate: bool = False
 
 
@@ -120,8 +123,7 @@ def periodogram(series: TimeSeries) -> Spectrum:
     values = scale * np.abs(coeffs[1:]) ** 2
     if n % 2 == 0:
         values[-1] /= 2  # Nyquist bin has a single real degree of freedom
-    return Spectrum(omegas=omegas, values=values,
-                    bin_counts=np.ones(values.size, dtype=int))
+    return Spectrum(omegas=omegas, values=values)
 
 
 def psd_estimate(series: TimeSeries, bins_per_decade: int = 16) -> Spectrum:
@@ -157,99 +159,86 @@ def psd_estimate(series: TimeSeries, bins_per_decade: int = 16) -> Spectrum:
                     bin_counts=np.array(counts, dtype=int))
 
 
-def _digamma_int(m: np.ndarray) -> np.ndarray:
-    """digamma(m) for integer m >= 1 via the harmonic-number identity."""
-    m = np.asarray(m, dtype=int)
-    top = int(m.max())
-    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, top + 1))))
-    return harmonic[m - 1] - _EULER_GAMMA
-
-
-def _trigamma_int(m: np.ndarray) -> np.ndarray:
-    """trigamma(m) for integer m >= 1: pi^2/6 - sum_{j<m} 1/j^2."""
-    m = np.asarray(m, dtype=int)
-    top = int(m.max())
-    partial = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, top + 1) ** 2)))
-    return math.pi ** 2 / 6.0 - partial[m - 1]
-
-
-def _degenerate_fit(spectrum: Spectrum, window) -> SpectrumFit:
+def _degenerate_fit(spectrum: Spectrum, window, lr_statistic: float) -> SpectrumFit:
     values, counts = spectrum.values, spectrum.bin_counts
-    if counts is None:
-        counts = np.ones(values.size)
-    total = float(np.sum(counts))
-    mu = float(np.sum(values * counts) / total) if total else 0.0
-    mu_err = float(np.std(values) / math.sqrt(max(values.size, 1)))
+    mu = float(np.sum(values * counts) / np.sum(counts))
+    mu_err = float(np.std(values) / math.sqrt(values.size))
     nan = float("nan")
     return SpectrumFit(beta=nan, omega_c=nan, mu=mu, amplitude=nan,
                        beta_err=nan, omega_c_err=nan, mu_err=mu_err,
-                       amplitude_err=nan, fit_window=window, degenerate=True)
+                       amplitude_err=nan, fit_window=window,
+                       lr_statistic=lr_statistic, degenerate=True)
 
 
 _BETA_BOX = (0.0, 4.0)
-_BOOTSTRAP_DRAWS = 64
-_BOOTSTRAP_SEED = 12345
+# 99 % point of chi-squared with 2 degrees of freedom.  Under the white
+# null the amplitude sits on its zero boundary and beta is unidentified,
+# which makes the chi-squared(2) threshold conservative (Self & Liang
+# 1987, JASA 82, 605).
+LR_THRESHOLD = 9.21
 
 
-def _knee_fits(log_data, log_omega, starts) -> fitting.Fits:
-    """Equal-weight log-space fits of the knee model, one per start row.
+def _deviance_residuals(ln_data, counts, ln_model):
+    """Signed Gamma-deviance residuals of m-point bin means about a model.
 
-    Row i starts from ``starts[i]``, an (ln_amplitude, beta, ln_mu)
-    triple, and fits ``log_data[i]``.  beta is boxed to [0, 4] so single
-    noisy low-frequency bins cannot drive the exponent to arbitrarily
-    steep values.
+    Their sum of squares is twice the Whittle negative log-likelihood
+    sum m*(ln S + P/S) above its saturated value.
     """
-    def residuals(p, rows):
-        return np.logaddexp(p[:, 0:1] - p[:, 1:2] * log_omega, p[:, 2:3]) - log_data[rows]
-
-    return fitting.fit_rows(residuals, starts, names=("ln_amplitude", "beta", "ln_mu"),
-                            bounds=[None, _BETA_BOX, None])
+    u = ln_data - ln_model
+    return np.sign(u) * np.sqrt(2 * counts * (np.expm1(u) - u))
 
 
-def _knee_model_fit(log_data, log_omega, mu0):
-    """Equal-weight log-space fit, multi-start to avoid local collapses.
+def _ln_knee(p, log_omega):
+    """ln(A*omega^-beta + mu) for rows of (ln_amplitude, beta, ln_mu)."""
+    return np.logaddexp(p[:, 0:1] - p[:, 1:2] * log_omega, p[:, 2:3])
 
-    The log(A*omega^-beta + mu) surface has a spurious basin where the
-    colored amplitude collapses to zero even when a real omega^-beta
-    component is present; deterministic restarts from amplitude-heavy
-    and shallow-exponent initializations recover it.  The starts are
-    fitted as one batch; the best is the formed one with the smallest
-    residual norm, the first on ties.
+
+def _ln_power_law(p, log_omega):
+    """ln(A*omega^-beta) for rows of (ln_amplitude, beta)."""
+    return p[:, 0:1] - p[:, 1:2] * log_omega
+
+
+def _likelihood_fit(ln_model, starts, bounds, ln_data, log_omega, counts
+                    ) -> fitting.FitResult:
+    """Maximum-likelihood fit of ``ln_model`` from several starts at once.
+
+    The starts are fitted as one batch; the best is the formed one with
+    the smallest deviance, the first on ties.
     """
-    a0 = max(math.exp(log_data[0]) - mu0, 0.01 * mu0) * math.exp(log_omega[0])
-    starts = [[math.log(a0 * a_factor), beta0, math.log(mu0)]
-              for a_factor, beta0 in
-              ((1.0, 1.0), (100.0, 1.0), (0.01, 1.0), (1.0, 0.5))]
-    fits = _knee_fits(np.broadcast_to(log_data, (len(starts), log_data.size)),
-                      log_omega, starts)
+    fits = fitting.fit_rows(
+        lambda p, rows: _deviance_residuals(ln_data, counts, ln_model(p, log_omega)),
+        starts, names=("ln_amplitude", "beta", "ln_mu")[:len(bounds)], bounds=bounds)
     formed = np.flatnonzero(fits.formed)
     if formed.size == 0:
         raise FitError("knee model fit failed from every initialization")
     return fits.result(formed[np.argmin(fits.residual_norm[formed])])
 
 
-def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
-    """Fit S(omega) = A * omega^-beta + mu in log-space, equal bin weights.
+def _fisher_covariance(grad, counts) -> np.ndarray:
+    """Inverse of the Fisher information sum_k m_k g_k g_k^T, where row k
+    of ``grad`` is g_k, the gradient of ln S at bin k; NaN if singular."""
+    info = grad.T @ (counts[:, None] * grad)
+    try:
+        return np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        return np.full(info.shape, np.nan)
 
-    Periodogram bin averages of Gaussian noise are chi-squared
-    distributed, so their logarithm is biased low by
-    digamma(m) - log(m) for an m-point bin; when bin counts are
-    available this known offset is removed from the data, and the
-    remaining nonlinear-estimator bias on beta is measured and
-    subtracted via a deterministic parametric bootstrap (synthetic
-    chi-squared replicas of the fitted model, fixed internal seed).
-    Significance of the omega^-beta component is judged where it is
-    largest, at the low-frequency end of the window.  With bin counts
-    the test is calibrated exactly under the white-noise null: the
-    corrected log-periodogram then scatters about log(mu) with known
-    per-bin variance trigamma(m), so the mean elevation of the lowest
-    decade above the count-weighted white level is a z-statistic, and
-    z <= 2 flags the spectrum as floor-only.  (Testing the fitted
-    amplitude against its own standard error would fail in both
-    directions: sigma_lnA is inflated by the A-beta degeneracy on
-    genuine 1/f records, and on floor-free power laws the unconstrained
-    floor inflates any covariance-based contrast.)  Degenerate results
-    carry the mean level in mu with beta and omega_c set to NaN.
+
+def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
+    """Fit S(omega) = A * omega^-beta + mu by maximum likelihood.
+
+    An m-point bin mean of a periodogram is distributed as
+    S * Gamma(m, 1/m), so the fit minimizes the Whittle deviance
+    (Whittle 1953; Vaughan 2010, MNRAS 402, 307) from four starts, and
+    the parameter errors come from the Fisher information at the
+    optimum.  The spectrum is called colored only when the likelihood
+    ratio against a white spectrum at the count-weighted mean level,
+    LR = D_white - D_fit, exceeds ``LR_THRESHOLD`` with beta > 0;
+    otherwise the result is degenerate, with the mean level in mu and
+    beta and omega_c set to NaN.  When no start of the three-parameter
+    model can be formed, the record falls as a power law through the
+    whole window and the floorless model A * omega^-beta is fitted
+    instead.  Either way ``lr_statistic`` records the decision.
     """
     if spectrum.omegas.size < 6:
         raise DomainError("knee fit needs at least 6 spectral points")
@@ -257,113 +246,72 @@ def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
     if math.log10(window[1] / window[0]) < 2:
         raise DomainError("knee fit needs a spectrum spanning at least 2 decades")
     if np.all(spectrum.values == 0):
-        return _degenerate_fit(spectrum, window)
+        return _degenerate_fit(spectrum, window, 0.0)
 
     keep = spectrum.values > 0
-    omegas = spectrum.omegas[keep]
-    counts = None if spectrum.bin_counts is None else spectrum.bin_counts[keep]
-    log_data = np.log(spectrum.values[keep])
-    correction = 0.0
-    if counts is not None:
-        correction = _digamma_int(counts) - np.log(counts)
-        log_data = log_data - correction
-    log_omega = np.log(omegas)
-    top_sel = omegas >= omegas[-1] / 10.0
-    mu0 = float(np.median(np.exp(log_data)[top_sel]))
+    omegas, values = spectrum.omegas[keep], spectrum.values[keep]
+    counts = spectrum.bin_counts[keep]
+    ln_data, log_omega = np.log(values), np.log(omegas)
+    ln_white = math.log(float(np.sum(counts * values) / np.sum(counts)))
+    d_white = float(np.sum(_deviance_residuals(ln_data, counts, ln_white) ** 2))
 
-    if counts is not None:
-        low_sel = omegas <= omegas[0] * 10.0
-        ln_white = math.log(float(
-            np.sum(spectrum.values[keep] * counts) / np.sum(counts)))
-        z_sigma = math.sqrt(float(np.sum(_trigamma_int(counts[low_sel])))
-                            ) / low_sel.sum()
-        z = (float(np.mean(log_data[low_sel])) - ln_white) / z_sigma
-        if z <= 2.0:
-            return _degenerate_fit(spectrum, window)
-
+    mu0 = float(np.median(values[omegas >= omegas[-1] / 10.0]))
+    ln_a0 = math.log(max(values[0] - mu0, 0.01 * mu0) * omegas[0])
     floorless = False
     try:
-        result = _knee_model_fit(log_data, log_omega, mu0)
-        ln_a = result.parameters["ln_amplitude"]
-        beta = result.parameters["beta"]
-        ln_mu = result.parameters["ln_mu"]
+        # A single start now and then settles where the colored
+        # amplitude collapses although a real omega^-beta component is
+        # present; amplitude-heavy and shallow-exponent starts recover
+        # it.  beta is boxed to [0, 4] so single noisy low-frequency
+        # bins cannot drive the exponent to arbitrarily steep values.
+        result = _likelihood_fit(
+            _ln_knee, [[ln_a0 + math.log(a_factor), beta0, math.log(mu0)]
+                       for a_factor, beta0 in
+                       ((1.0, 1.0), (100.0, 1.0), (0.01, 1.0), (1.0, 0.5))],
+            [None, _BETA_BOX, None], ln_data, log_omega, counts)
     except FitError:
-        # Records falling as a power law through the whole window have
-        # their optimum on the mu = 0 boundary, where ln_mu runs away
-        # and every three-parameter start goes rank-deficient.  The
-        # boundary model log S = ln_a - beta*log(omega) is linear.
+        # Two boundaries leave no three-parameter start formed: records
+        # falling as a power law through the whole window have their
+        # optimum at mu = 0, where ln_mu runs away, and white records at
+        # A = 0.  The power law alone has an interior optimum in both
+        # cases, so its beta is left free; a white record fits beta <= 0.
         floorless = True
-        result = fitting.linear_fit(log_omega, log_data)
-        beta = -result.parameters["slope"]
-        ln_a = result.parameters["intercept"]
-        ln_mu = None
-    if counts is None and not floorless:
-        # colored-over-floor excess at the low edge of the window, in logs
-        excess = ln_a - beta * log_omega[0] - ln_mu
-        grad_excess = np.array([1.0, -log_omega[0], -1.0])
-        sigma_excess = math.sqrt(max(
-            float(grad_excess @ result.covariance @ grad_excess), 0.0))
-        if not np.isfinite(sigma_excess) or excess <= 2 * sigma_excess:
-            return _degenerate_fit(spectrum, window)
-    if beta <= 0:
-        return _degenerate_fit(spectrum, window)
+        result = _likelihood_fit(_ln_power_law, [[ln_a0, 1.0]], [None, None],
+                                 ln_data, log_omega, counts)
+    lr = d_white - result.residual_norm ** 2
+    p = result.parameters
+    ln_a, beta, ln_mu = p["ln_amplitude"], p["beta"], p.get("ln_mu", -math.inf)
+    if not (lr > LR_THRESHOLD and beta > 0):
+        return _degenerate_fit(spectrum, window, lr)
 
-    if counts is not None:
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(_BOOTSTRAP_SEED)))
-        dof = 2 * counts
-        noise = np.log(rng.chisquare(np.broadcast_to(dof, (_BOOTSTRAP_DRAWS, dof.size)))
-                       / dof) - correction
-        if floorless:
-            fitted = np.array([ln_a, beta])
-            slope, intercept = fitting.fit_lines(
-                log_omega, ln_a - beta * log_omega + noise)
-            replicas = np.stack([intercept, -slope], axis=1)
-        else:
-            fitted = np.array([ln_a, beta, ln_mu])
-            warm = [ln_a, min(max(beta, 1e-6), _BETA_BOX[1] - 1e-6), ln_mu]
-            fits = _knee_fits(np.logaddexp(ln_a - beta * log_omega, ln_mu) + noise,
-                              log_omega, np.broadcast_to(warm, (_BOOTSTRAP_DRAWS, 3)))
-            replicas = fits.parameters[fits.formed]
-        if len(replicas) >= _BOOTSTRAP_DRAWS // 2:
-            corrected = fitted - (np.mean(replicas, axis=0) - fitted)
-            if floorless:
-                ln_a, beta = corrected
-            else:
-                ln_a, beta, ln_mu = corrected
-            beta = float(np.clip(beta, _BETA_BOX[0], _BETA_BOX[1]))
-        if beta <= 0:
-            return _degenerate_fit(spectrum, window)
-
+    # gradient of ln S in (ln_amplitude, beta, ln_mu), from the colored
+    # share of each bin's level (1 when floorless)
+    ln_colored = ln_a - beta * log_omega
+    colored = np.exp(ln_colored - np.logaddexp(ln_colored, ln_mu))
+    grad = np.stack([colored, -colored * log_omega, 1.0 - colored], axis=1)
+    cov = _fisher_covariance(grad[:, :len(p)], counts)
+    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
     amplitude = math.exp(ln_a)
     if floorless:
         # No white floor resolved inside the window: mu sits on its
         # zero boundary, its error bar is the smallest binned level
         # (detection bound), and the crossover lies beyond the window.
-        mu = 0.0
-        mu_err = float(np.exp(log_data.min()))
+        mu, mu_err = 0.0, float(values.min())
         omega_c, omega_c_err = window[1], float("nan")
-        beta_err = result.stderr("slope")
-        amplitude_err = amplitude * result.stderr("intercept")
     else:
         mu = math.exp(ln_mu)
-        mu_err = mu * result.stderr("ln_mu")
+        mu_err = mu * err[2]
         ln_omega_c = (ln_a - ln_mu) / beta
-        grad = np.array([1.0 / beta, -ln_omega_c / beta, -1.0 / beta])
-        var_ln_omega_c = float(grad @ result.covariance @ grad)
+        grad_c = np.array([1.0, -ln_omega_c, -1.0]) / beta
         omega_c = math.exp(ln_omega_c)
-        omega_c_err = omega_c * math.sqrt(max(var_ln_omega_c, 0.0))
+        omega_c_err = omega_c * math.sqrt(max(float(grad_c @ cov @ grad_c), 0.0))
         omega_c = min(max(omega_c, window[0]), window[1])
-        beta_err = result.stderr("beta")
-        amplitude_err = amplitude * result.stderr("ln_amplitude")
     return SpectrumFit(
         beta=float(beta), omega_c=float(omega_c), mu=float(mu),
-        amplitude=float(amplitude),
-        beta_err=float(beta_err),
-        omega_c_err=float(omega_c_err),
-        mu_err=float(mu_err),
-        amplitude_err=float(amplitude_err),
-        fit_window=window, degenerate=False)
+        amplitude=float(amplitude), beta_err=float(err[1]),
+        omega_c_err=float(omega_c_err), mu_err=float(mu_err),
+        amplitude_err=float(amplitude * err[0]), fit_window=window,
+        lr_statistic=float(lr), degenerate=False)
 
 
 def fit_white_floor_vs_temp(points) -> FloorScalingFit:
