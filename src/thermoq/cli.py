@@ -23,6 +23,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,23 +105,6 @@ def _spawn_seeds(seed: int, n: int) -> list:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def _require_config(args) -> RunConfig:
-    if args.config is None:
-        raise ConfigError("this command requires --config")
-    return load_config(args.config)
-
-
-def _output_dir(args, run: RunConfig | None) -> Path:
-    if args.output_dir is not None:
-        out = Path(args.output_dir)
-    elif run is not None:
-        out = Path(run.output_dir)
-    else:
-        out = Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _fit_payload(fit) -> dict:
     return {
         "beta": fit.beta,
@@ -138,9 +122,7 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def cmd_rates(args):
-    run = _require_config(args)
-    out = _output_dir(args, run)
+def cmd_rates(args, run, out):
     budget = decoherence.rate_budget(
         run.circuit, run.geometry, S_delta=run.s_delta,
         T_a=run.port("antenna").temperature,
@@ -152,12 +134,10 @@ def cmd_rates(args):
     payload["notes"] = budget.notes
     payload["warnings"] = list(budget.warnings)
     _write_json(out / "rates.json", payload)
-    return out, [args.config], ["rates.json"]
+    return ["rates.json"]
 
 
-def cmd_stark_sweep(args):
-    run = _require_config(args)
-    out = _output_dir(args, run)
+def cmd_stark_sweep(args, run, out):
     alpha = args.alpha if args.alpha is not None else \
         run.port("readout").attenuation
     circuit = run.circuit
@@ -168,12 +148,10 @@ def cmd_stark_sweep(args):
         shift = ac_stark_shift(n_x, 0.0, circuit.chi, kappas, alpha)
         points.append(StarkSweepPoint(float(temp), float(shift)))
     io.write_stark_sweep(out / "stark_sweep.csv", points)
-    return out, [args.config], ["stark_sweep.csv"]
+    return ["stark_sweep.csv"]
 
 
-def cmd_calibrate(args):
-    run = _require_config(args)
-    out = _output_dir(args, run)
+def cmd_calibrate(args, run, out):
     sweep = io.read_stark_sweep(args.input)
     result = calibrate_attenuation(sweep, args.port, run.circuit,
                                    alpha=args.alpha)
@@ -187,12 +165,10 @@ def cmd_calibrate(args):
         payload["kappa_a_hz"] = _hz(result.parameters["kappa_a"])
         payload["kappa_a_err_hz"] = _hz(result.stderr("kappa_a"))
     _write_json(out / "calibration.json", payload)
-    return out, [args.config, args.input], ["calibration.json"]
+    return ["calibration.json"]
 
 
-def cmd_gamma1_sweep(args):
-    run = _require_config(args)
-    out = _output_dir(args, run)
+def cmd_gamma1_sweep(args, run, out):
     circuit = run.circuit
     rates = decoherence.component_rates(circuit, run.s_delta)
     photons = np.linspace(0.0, args.n_max, args.points).tolist()
@@ -203,16 +179,14 @@ def cmd_gamma1_sweep(args):
     resonant = [decoherence.delta_gamma1_res(n, rates) for n in photons]
     io.GAMMA1_SWEEP.write(out / "gamma1_sweep.csv",
                           (photons, antenna, dispersive, resonant))
-    return out, [args.config], ["gamma1_sweep.csv"]
+    return ["gamma1_sweep.csv"]
 
 
-def cmd_dephasing_sweep(args):
-    run = _require_config(args)
-    out = _output_dir(args, run)
+def cmd_dephasing_sweep(args, run, out):
     temps = np.linspace(args.t_min, args.t_max, args.points).tolist()
     rates = [decoherence.dephasing_second_order(t, run.geometry) for t in temps]
     io.DEPHASING_SWEEP.write(out / "dephasing_sweep.csv", (temps, rates))
-    return out, [args.config], ["dephasing_sweep.csv"]
+    return ["dephasing_sweep.csv"]
 
 
 def _tls_series(run: RunConfig, mode: str, seed: int):
@@ -233,27 +207,23 @@ def _tls_series(run: RunConfig, mode: str, seed: int):
         duration, dt, dynamics_seed, base_gamma1=run.tls.base_gamma1)
 
 
-def cmd_tls_sim(args):
-    run = _require_config(args)
-    out = _output_dir(args, run)
+def cmd_tls_sim(args, run, out):
     seed = _effective_seed(args, run.seed)
     series = _tls_series(run, args.mode, seed)
     io.write_time_series(out / "gamma1_series.csv", series)
-    return out, [args.config], ["gamma1_series.csv"]
+    return ["gamma1_series.csv"]
 
 
-def cmd_psd_fit(args):
-    out = _output_dir(args, None)
+def cmd_psd_fit(args, run, out):
     series = io.read_time_series(args.input)
     spectrum = psd_estimate(series, bins_per_decade=args.bins_per_decade)
     io.write_spectrum(out / "spectrum.csv", spectrum)
     fit = fit_knee_spectrum(spectrum)
     _write_json(out / "psd_fit.json", _fit_payload(fit))
-    return out, [args.input], ["spectrum.csv", "psd_fit.json"]
+    return ["spectrum.csv", "psd_fit.json"]
 
 
-def cmd_floor_fit(args):
-    out = _output_dir(args, None)
+def cmd_floor_fit(args, run, out):
     points = io.read_floor_points(args.input)
     fit = fit_white_floor_vs_temp(points)
     _write_json(out / "floor_fit.json", {
@@ -262,12 +232,10 @@ def cmd_floor_fit(args):
         "x": fit.x, "x_err": fit.x_err,
         "x_unidentifiable": fit.x_unidentifiable,
     })
-    return out, [args.input], ["floor_fit.json"]
+    return ["floor_fit.json"]
 
 
-def cmd_campaign(args):
-    run = _require_config(args)
-    out = _output_dir(args, run)
+def cmd_campaign(args, run, out):
     seed = _effective_seed(args, run.seed)
     source_seed, measure_seed = _spawn_seeds(seed, 2)
     source = _tls_series(run, args.mode, source_seed)
@@ -285,7 +253,7 @@ def cmd_campaign(args):
         "gamma1_mean_hz": _hz(float(np.mean(values))),
         "gamma1_std_hz": _hz(float(np.std(values))),
     })
-    return out, [args.config], ["campaign_series.csv", "campaign_psd.csv",
+    return ["campaign_series.csv", "campaign_psd.csv",
                                 "campaign_fit.json", "campaign_summary.json"]
 
 
@@ -314,89 +282,115 @@ def _write_report(out: Path, command: str, inputs: list, outputs: list,
     _write_json(out / "report.json", report)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+_MODE = ("--mode", dict(choices=("microscopic", "phenomenological"), default="microscopic"))
+_T_RANGE = (("--t-min", dict(type=float, default=0.05)),
+            ("--t-max", dict(type=float, default=1.5)))
+
+
+class _Command(NamedTuple):
+    """A subcommand: it takes --output-dir, --config unless ``config`` is
+    False, --seed if ``seeded``, then each (flag, options) of ``arguments``.
+    ``handler`` names a function of this module, looked up at each call
+    (so that a wrapper installed on the module sees it); ``handler(args,
+    run, out)`` writes into ``out`` and returns the names of the files it
+    wrote, and ``run`` is the loaded config, if any."""
+
+    handler: str
+    help: str
+    config: bool = True
+    seeded: bool = False
+    arguments: tuple = ()
+
+
+_COMMANDS = {
+    "rates": _Command("cmd_rates", "decoherence rate budget as JSON"),
+    "stark-sweep": _Command(
+        "cmd_stark_sweep", "model ac-Stark shift vs readout temperature", arguments=(
+            *_T_RANGE, ("--points", dict(type=_positive_int, default=15)),
+            ("--alpha", dict(type=float, default=None,
+                             help="line attenuation (default: readout port value)")))),
+    "calibrate": _Command(
+        "cmd_calibrate", "fit attenuation or antenna coupling from a Stark sweep",
+        arguments=(("--input", dict(required=True, help="Stark sweep CSV")),
+                   ("--port", dict(choices=("readout", "antenna"), required=True)),
+                   ("--alpha", dict(type=float, default=None,
+                                    help="known attenuation (antenna calibration)")))),
+    "gamma1-sweep": _Command(
+        "cmd_gamma1_sweep", "relaxation-rate models vs photon number",
+        arguments=(("--n-max", dict(type=float, default=2.0)),
+                   ("--points", dict(type=_positive_int, default=41)))),
+    "dephasing-sweep": _Command(
+        "cmd_dephasing_sweep", "second-order antenna dephasing vs temperature",
+        arguments=(*_T_RANGE, ("--points", dict(type=_positive_int, default=30)))),
+    "tls-sim": _Command("cmd_tls_sim", "simulate a fluctuating gamma1(t) record",
+                        seeded=True, arguments=(_MODE,)),
+    "psd-fit": _Command(
+        "cmd_psd_fit", "bin a gamma1 series into a PSD and fit the knee model", config=False,
+        arguments=(("--input", dict(required=True, help="gamma1 series CSV")),
+                   ("--bins-per-decade", dict(type=_positive_int, default=16)))),
+    "floor-fit": _Command(
+        "cmd_floor_fit", "fit the white-floor temperature scaling", config=False,
+        arguments=(("--input", dict(required=True,
+                                    help="CSV of temp_k,psd_w_per_hz points")),)),
+    "campaign": _Command(
+        "cmd_campaign", "full pipeline: gamma1 source, repeated relaxation "
+        "experiments, PSD, knee fit", seeded=True, arguments=(_MODE,)),
+}
+
+
+class _Reparse(Exception):
+    """A parse error of a one-command parser; the full parser reports it."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Reparse(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  A
+    one-command parser parses and prints help as the full one does but
+    raises ``_Reparse`` on an error, whose message the full one words."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="thermoq",
         description="Transmon decoherence under thermal fields: rate "
                     "budgets, sweeps, TLS simulation, and spectral fits.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_, *, config=False, seeded=False):
-        cmd = sub.add_parser(name, help=help_)
-        cmd.set_defaults(handler=handler)
+    for name, spec in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        cmd = sub.add_parser(name, help=spec.help)
         cmd.add_argument("--output-dir", default=None,
                          help="directory for output files")
-        if config:
+        if spec.config:
             cmd.add_argument("--config", required=True,
                              help="JSON run configuration")
-        if seeded:
+        if spec.seeded:
             cmd.add_argument("--seed", type=_seed, default=None,
                              help="override THERMOQ_SEED and the config seed")
-        return cmd
-
-    add("rates", cmd_rates,
-        "decoherence rate budget as JSON", config=True)
-
-    cmd = add("stark-sweep", cmd_stark_sweep,
-              "model ac-Stark shift vs readout temperature", config=True)
-    cmd.add_argument("--t-min", type=float, default=0.05)
-    cmd.add_argument("--t-max", type=float, default=1.5)
-    cmd.add_argument("--points", type=_positive_int, default=15)
-    cmd.add_argument("--alpha", type=float, default=None,
-                     help="line attenuation (default: readout port value)")
-
-    cmd = add("calibrate", cmd_calibrate,
-              "fit attenuation or antenna coupling from a Stark sweep",
-              config=True)
-    cmd.add_argument("--input", required=True, help="Stark sweep CSV")
-    cmd.add_argument("--port", choices=("readout", "antenna"),
-                     required=True)
-    cmd.add_argument("--alpha", type=float, default=None,
-                     help="known attenuation (antenna calibration)")
-
-    cmd = add("gamma1-sweep", cmd_gamma1_sweep,
-              "relaxation-rate models vs photon number", config=True)
-    cmd.add_argument("--n-max", type=float, default=2.0)
-    cmd.add_argument("--points", type=_positive_int, default=41)
-
-    cmd = add("dephasing-sweep", cmd_dephasing_sweep,
-              "second-order antenna dephasing vs temperature", config=True)
-    cmd.add_argument("--t-min", type=float, default=0.05)
-    cmd.add_argument("--t-max", type=float, default=1.5)
-    cmd.add_argument("--points", type=_positive_int, default=30)
-
-    cmd = add("tls-sim", cmd_tls_sim,
-              "simulate a fluctuating gamma1(t) record", config=True,
-              seeded=True)
-    cmd.add_argument("--mode", choices=("microscopic", "phenomenological"),
-                     default="microscopic")
-
-    cmd = add("psd-fit", cmd_psd_fit,
-              "bin a gamma1 series into a PSD and fit the knee model")
-    cmd.add_argument("--input", required=True, help="gamma1 series CSV")
-    cmd.add_argument("--bins-per-decade", type=_positive_int, default=16)
-
-    cmd = add("floor-fit", cmd_floor_fit,
-              "fit the white-floor temperature scaling")
-    cmd.add_argument("--input", required=True,
-                     help="CSV of temp_k,psd_w_per_hz points")
-
-    cmd = add("campaign", cmd_campaign,
-              "full pipeline: gamma1 source, repeated relaxation "
-              "experiments, PSD, knee fit", config=True, seeded=True)
-    cmd.add_argument("--mode", choices=("microscopic", "phenomenological"),
-                     default="microscopic")
-
+        for flag, options in spec.arguments:
+            cmd.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    try:
+        args = build_parser(command).parse_args(argv)
+    except _Reparse:
+        args = build_parser().parse_args(argv)
+    spec = _COMMANDS[args.command]
     try:
         timestamp = _report_timestamp()
-        out, inputs, outputs = args.handler(args)
+        run = load_config(args.config) if spec.config else None
+        out = Path(args.output_dir if args.output_dir is not None
+                   else run.output_dir if run is not None else ".")
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = globals()[spec.handler](args, run, out)
+        inputs = [vars(args)[key] for key in ("config", "input") if key in vars(args)]
         _write_report(out, args.command, inputs, outputs, timestamp)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

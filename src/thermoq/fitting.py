@@ -5,11 +5,16 @@ reproducible schedule: Marquardt scaling of the damping term, initial
 damping 1e-3, damping per row multiplied by 10 on a rejected step and
 divided by 10 on an accepted one.  A row converges when its relative
 step and relative residual change are both below 1e-10, or when its
-damping passes 1e30 (the step has collapsed to nothing); it stops after
-200 trial steps either way.  Rows stop independently, a row whose fit
-cannot be formed is flagged instead of raised, and no row's arithmetic
-depends on the others, so a row fitted in a batch equals the same fit
-alone, bit for bit.  Two Jacobian providers feed the loop: analytic
+step has collapsed.  The scaled step r = |D^1/2 step|, D = diag(J^T J),
+bounds each |step_i| by r/sqrt(D_ii) and only shrinks as the damping
+grows (More 1978, LNM 630), so once r/sqrt(D_ii) is below an eighth of
+the spacing of q_i for every i, no later trial can move q, and the row
+stops before its trial point is evaluated.  Where some q_i = 0 that
+test cannot pass, and a row whose damping passes 1e30 counts as
+collapsed instead.  A row stops after 200 trial steps either way.
+Rows stop independently, a row whose fit cannot be formed is flagged
+instead of raised, and no row's arithmetic depends on the others, so a
+row fitted in a batch equals the same fit alone, bit for bit.  Two Jacobian providers feed the loop: analytic
 sums for offset + amplitude*exp(-rate*t) (``fit_decays``), and forward
 differences of step max(1e-8, 1e-8*|q|) for any row model, with box
 bounds carried by a logistic transform (``fit_rows``, and
@@ -26,6 +31,10 @@ from .errors import DegenerateDataError, ModelDomainError, RankDeficiencyError
 _REL_TOL = 1e-10
 _MAX_ITER = 200
 _DAMPING_0 = 1e-3
+# a step bounded by this fraction of q's spacing leaves q unchanged: 1/2
+# for rounding to nearest, halved again for the smaller spacing just
+# below a power of two and again for rounding in the solve
+_COLLAPSE_FRACTION = 0.125
 DECAY_NAMES = ("rate", "amplitude", "offset")
 
 
@@ -154,17 +163,26 @@ def _levenberg_marquardt(provider, q, names) -> Fits:
             step, singular = _stacked(
                 np.linalg.solve, normal + damping[:, None, None] * (diag[:, :, None] * eye),
                 -grad[:, :, None])
+            step = step[:, :, 0]
+            # a NaN step (singular row) never collapses
+            reach = np.sqrt((diag * step**2).sum(axis=1))[:, None] / np.sqrt(diag)
+            collapsed = (reach < _COLLAPSE_FRACTION * np.spacing(np.abs(qw))).all(axis=1)
             if singular.any():
                 stop(singular, RankDeficiencyError("singular normal equations"))
-                step = step[~singular]
-            step = step[:, :, 0]
+                step, collapsed = step[~singular], collapsed[~singular]
+            if collapsed.any():
+                converged[rows[collapsed]] = True
+                stop(collapsed)
+                step = step[~collapsed]
+            if rows.size == 0:
+                break
             q_trial = qw + step
             norm_trial = provider.norm(provider.residuals(q_trial, rows))
             # a non-finite trial residual has a NaN or infinite norm
             accept = norm_trial < normw
             damping = np.where(accept, damping / 10.0, damping * 10.0)
-            # only a rejected step takes damping past 1e30: the step has
-            # collapsed to nothing, which counts as converged
+            # only a rejected step takes damping past 1e30: a collapse the
+            # check above cannot see where some q_i = 0
             done = damping > 1e30
             if accept.any():
                 rel_dres = np.abs(normw - norm_trial) / np.maximum(normw, 1e-300)

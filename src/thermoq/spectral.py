@@ -278,7 +278,9 @@ def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
         floorless = True
         result = _likelihood_fit(_ln_power_law, [[ln_a0, 1.0]], [None, None],
                                  ln_data, log_omega, counts)
-    lr = d_white - result.residual_norm ** 2
+    # the white level lies in both models, so a fit that stops above its
+    # deviance has not reached the maximum likelihood: LR is never < 0
+    lr = d_white - min(result.residual_norm ** 2, d_white)
     p = result.parameters
     ln_a, beta, ln_mu = p["ln_amplitude"], p["beta"], p.get("ln_mu", -math.inf)
     if not (lr > LR_THRESHOLD and beta > 0):

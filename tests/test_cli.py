@@ -423,3 +423,95 @@ class TestArgumentTypes:
                       "--bins-per-decade", "0"])
         assert excinfo.value.code == 2
         assert "--bins-per-decade: must be >= 1, got 0" in capsys.readouterr().err
+
+
+def parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a call that parses ``argv`` and exits."""
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    out = capsys.readouterr()
+    return excinfo.value.code, out.out, out.err
+
+
+def subcommand_options(name):
+    """The optional actions of a subcommand in the full parser, -h aside."""
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return [a for a in sub.choices[name]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+def failing_argvs(name):
+    """Argument lists that make a subcommand's parser print and exit."""
+    # with the required options given, the top-level parser reports the
+    # unknown option and the extra positional, naming every subcommand
+    argvs = [[name, "--help"], [name, "-h"], [name], [name, "--conf"], [name, "--out"],
+             [name, "--bogus", "1"], [*valid_argv(name), "--bogus", "1"],
+             [name, "extra"], [*valid_argv(name), "extra"]]
+    for action in subcommand_options(name):
+        flag = action.option_strings[0]
+        if action.type is not None:
+            argvs.append([name, flag, "x"])
+        if action.choices is not None:
+            argvs.append([name, flag, "bogus"])
+        if flag in ("--points", "--bins-per-decade"):
+            argvs.append([name, flag, "-3"])
+        if flag == "--seed":
+            argvs.append([name, flag, "-1"])
+    return argvs
+
+
+def valid_argv(name):
+    """The required options of a subcommand, with --config abbreviated."""
+    argv = [name]
+    for action in subcommand_options(name):
+        if action.required:
+            flag = action.option_strings[0]
+            argv += ["--conf" if flag == "--config" else flag,
+                     action.choices[0] if action.choices else "x"]
+    return argv
+
+
+class TestParserEquivalence:
+    """``main`` parses with the named subcommand's parser alone; every
+    help text, usage line and error must be the full parser's."""
+
+    @pytest.mark.parametrize("argv", [
+        argv for name in cli._COMMANDS for argv in failing_argvs(name)
+    ] + [[], ["bogus"], ["--help"], ["--version"], ["--vers"], ["-h", "rates"]],
+        ids=" ".join)
+    def test_same_exit_and_output_as_the_full_parser(self, capsys, argv):
+        full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        assert parse_outcome(capsys, cli.main, argv) == full
+        assert full[0] in (0, 2)
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_same_namespace_as_the_full_parser(self, name):
+        argv = valid_argv(name)
+        lean = cli.build_parser(name).parse_args(argv)
+        assert vars(lean) == vars(cli.build_parser().parse_args(argv))
+        assert lean.command == name
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_one_command_parser_defers_errors(self, name):
+        with pytest.raises(cli._Reparse):
+            cli.build_parser(name).parse_args([name, "--bogus"])
+        parser = cli.build_parser(name)
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        assert list(sub.choices) == [name]
+
+    def test_main_builds_one_command_parser_unless_it_fails(self, tmp_path,
+                                                            monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        assert cli.main(["rates", "--config", str(tmp_path / "nope.json")]) == 2
+        assert built == ["rates"]
+        with pytest.raises(SystemExit):
+            cli.main(["rates", "--bogus"])
+        assert built == ["rates", "rates", None]
+        capsys.readouterr()

@@ -1,11 +1,12 @@
 """Tests for the damped Gauss-Newton least-squares engine."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from thermoq import fitting
+from thermoq import cavity, config, fitting, spectra, spectral, tlssim
 from thermoq.errors import DegenerateDataError, ModelDomainError, RankDeficiencyError
 
 
@@ -300,3 +301,107 @@ class TestLinearFit:
             if abs(res.parameters["slope"] - slope_true) <= 2 * res.stderr("slope"):
                 hits += 1
         assert hits >= 45
+
+
+SAMPLE = config.load_config(pathlib.Path(__file__).resolve().parent.parent / "sample.json")
+
+
+def stark_sweep(port, noise=0.0):
+    """A sample.json Stark sweep at alpha = 0.389 over 15 temperatures,
+    heating one port."""
+    circuit = SAMPLE.circuit
+    rng = np.random.default_rng(0)
+    kappas = (circuit.kappa_x, circuit.kappa_a, circuit.kappa_tot)
+    points = []
+    for temp in np.linspace(0.05, 1.5, 15):
+        n = spectra.bose_occupation(circuit.omega_r, float(temp))
+        n_x, n_a = (n, 0.0) if port == "readout" else (0.0, n)
+        shift = cavity.ac_stark_shift(n_x, n_a, circuit.chi, kappas, 0.389)
+        points.append(cavity.StarkSweepPoint(
+            float(temp), shift * (1.0 + noise * rng.standard_normal())))
+    return points
+
+
+def floor_points():
+    rng = np.random.default_rng(8)
+    temps = 0.03 * 10.0 ** np.linspace(0.0, 1.0, 8)
+    mus = (2e-29 + 1e-27 * temps ** 2.1) * (1.0 + 0.01 * rng.standard_normal(8))
+    return list(zip(temps, mus))
+
+
+def knee_spectrum():
+    dt = 10.0
+    series = tlssim.simulate_phenomenological(
+        2 * math.pi * 3.9e6, 1.0, 2 * math.pi * 1e-3, 2 * math.pi * 215e3,
+        1200 * dt, dt, seed=7)
+    return spectral.psd_estimate(series)
+
+
+def lm_batches(monkeypatch, fraction, fit):
+    """Every batch the LM loop returns while ``fit()`` runs with the given
+    collapse fraction; 0 never collapses, which is the old schedule."""
+    batches, loop = [], fitting._levenberg_marquardt
+
+    def recording(*args):
+        batches.append(loop(*args))
+        return batches[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fitting, "_COLLAPSE_FRACTION", fraction)
+        patch.setattr(fitting, "_levenberg_marquardt", recording)
+        fit()
+    return batches
+
+
+class TestCollapseExit:
+    """Stopping a row once its scaled step cannot move it ends the same
+    fits as waiting for the damping to pass 1e30, bit for bit."""
+
+    @pytest.mark.parametrize("fit", [
+        lambda: cavity.calibrate_attenuation(stark_sweep("readout"), "readout",
+                                             SAMPLE.circuit),
+        lambda: cavity.calibrate_attenuation(stark_sweep("readout", noise=0.01),
+                                             "readout", SAMPLE.circuit),
+        lambda: cavity.calibrate_attenuation(stark_sweep("antenna", noise=0.01),
+                                             "antenna", SAMPLE.circuit, alpha=0.389),
+        lambda: spectral.fit_white_floor_vs_temp(floor_points()),
+        lambda: fitting.fit_decays(*noisy_decays(1200, 400, 9)),
+        lambda: spectral.fit_knee_spectrum(knee_spectrum()),
+    ], ids=["readout", "noisy-readout", "antenna", "floor", "decays", "knee"])
+    def test_same_fits_in_no_more_trials(self, monkeypatch, fit):
+        old = lm_batches(monkeypatch, 0.0, fit)
+        new = lm_batches(monkeypatch, fitting._COLLAPSE_FRACTION, fit)
+        assert len(new) == len(old) > 0
+        for a, b in zip(new, old):
+            assert a.parameters.tobytes() == b.parameters.tobytes()
+            assert a.covariance.tobytes() == b.covariance.tobytes()
+            assert a.residual_norm.tobytes() == b.residual_norm.tobytes()
+            assert np.array_equal(a.formed, b.formed)
+            assert np.all(a.n_iterations <= b.n_iterations)
+            assert np.all(a.converged >= b.converged)
+
+    def test_noiseless_calibration_trial_count(self, monkeypatch):
+        # 10 accepted steps reach alpha = 0.389; the rejected trials then
+        # raise the damping from 1e-13 until the step collapses at 1e17,
+        # where the old schedule waited for 1e30.  Normal equations are
+        # formed at the start, after each accepted step and for the covariance.
+        formed = []
+        normal_equations = fitting._ForwardDifferences.normal_equations
+
+        def counting(self, q, rows):
+            formed.append(len(rows))
+            return normal_equations(self, q, rows)
+
+        monkeypatch.setattr(fitting._ForwardDifferences, "normal_equations", counting)
+
+        def fit():
+            formed.clear()
+            result = cavity.calibrate_attenuation(stark_sweep("readout"), "readout",
+                                                  SAMPLE.circuit)
+            return result.n_iterations, len(formed) - 2, result.parameters["alpha"]
+
+        trials, accepted, alpha = fit()
+        assert (trials, accepted) == (41, 10)
+        assert alpha == pytest.approx(0.389, rel=1e-12)
+        monkeypatch.setattr(fitting, "_COLLAPSE_FRACTION", 0.0)
+        assert fit() == (53, 10, alpha)

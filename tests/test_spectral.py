@@ -311,6 +311,17 @@ class TestWhittleMonteCarlo:
                 spectral.psd_estimate(ts)).degenerate
         assert false_alarms <= 6
 
+    @pytest.mark.parametrize("record", [160, 190])
+    def test_white_record_lr_is_not_negative(self, record):
+        # the fit stops short of the white level on these two records, whose
+        # deviance it would otherwise exceed
+        child = np.random.SeedSequence(2028).spawn(200)[record]
+        rng = np.random.Generator(np.random.PCG64(child))
+        ts = TimeSeries(0.0, 10.0, MEAN + TWO_PI * 215e3 * rng.standard_normal(1200))
+        fit = spectral.fit_knee_spectrum(spectral.psd_estimate(ts))
+        assert fit.lr_statistic >= 0.0
+        assert fit.degenerate
+
 
 class TestFloorScalingFit:
     TEMPS = np.array([0.05, 0.1, 0.2, 0.4, 0.7, 1.0, 1.25, 1.5])
