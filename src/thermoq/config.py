@@ -308,6 +308,9 @@ def load_config(path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: invalid byte "
+                          f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
     try:
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:

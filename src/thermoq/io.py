@@ -6,23 +6,38 @@ rad/s throughout.  The Hz boundary is crossed with exact rational
 arithmetic so a write-then-read cycle reproduces every IEEE double
 bit-for-bit; a naive divide/multiply by 2*pi perturbs roughly one value
 in eight by one ulp.  Plain columns are rendered with 17 significant
-digits, which also round-trips doubles exactly.  The field separator is
-always "," and the decimal mark always ".", independent of locale.
+digits (format ``'.17g'``), which also round-trips doubles exactly.  The
+field separator is always "," and the decimal mark always ".",
+independent of locale.  Files are written in binary mode, so every
+platform gets "\n" line ends.
 
 The exact functions ``_render_hz`` and ``_parse_hz`` (``Decimal`` and
-``Fraction``) are the reference.  Rows are written, and Hz columns read,
-in blocks of ``_BLOCK`` rows, and an Hz block of ``_FAST_MIN_ROWS`` rows
-or more first takes a vectorised fast path: the quotient omega/2pi, or the
-product of a token with 2pi, is carried as a double-double (Dekker's
-error-free product; Dekker 1971, Ogita, Rump & Oishi 2005), and a row
-keeps the fast result only when it is certified to be the exact
+``Fraction``), ``_render_float`` and ``float`` are the reference.  Rows
+travel as bytes, in blocks of ``_BLOCK`` rows, without a Python string
+per row:
+
+- Writing turns each column of a block into a NUL-padded (rows, width)
+  uint8 matrix.  The 17-digit coefficient and decimal exponent come from
+  a double-double, (omega/2pi, its residual) for Hz and (x, 0) for plain
+  columns (Dekker's error-free product; Dekker 1971, Ogita, Rump & Oishi
+  2005).  Its digits are placed by Decimal's layout for Hz and by
+  ``'g'``'s, less trailing zeros, for plain columns; the block is
+  written with one ``tobytes`` once the padding is dropped.
+- Reading splits the file at its "," and "\n" bytes and parses every
+  token straight from the file buffer: its digits times a power of ten,
+  times 2pi for Hz, as a double-double.  A file holding a blank line, a
+  ragged row, or any byte outside printable ASCII but "\n" (every other
+  line break of ``str.splitlines`` among them) is split line by line as
+  text instead, which names the first bad row.
+
+A row keeps the fast result only when it is certified to be the exact
 function's, i.e. when it lies clear of every rounding tie.  Every other
-row goes through the exact function: ties and near-ties, quotients that
-Decimal writes with fewer than 17 digits, zeros, non-finite values,
-magnitudes beyond 1e+-240, and tokens outside the strict form
-``-?d+(.d+)?(E[+-]d{1,3})?`` with at most 18 significant digits.  The bytes
-on disk and the values read back are the same as with the exact path
-alone.
+row goes through the exact function: ties and near-ties, Hz quotients
+that Decimal writes with fewer than 17 digits, zeros, non-finite values,
+magnitudes beyond 1e+-240, tokens outside the strict form
+``-?d+(.d+)?([Ee][+-]d{1,3})?`` with at most 18 significant digits, and
+every block under ``_FAST_MIN_ROWS`` rows.  The bytes on disk and the
+values read back are the same as with the exact functions alone.
 """
 
 from __future__ import annotations
@@ -32,7 +47,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -149,18 +163,41 @@ def _layout(k: int, negative: bool) -> tuple:
     return text[:start], 17, "", text[start + 17:]
 
 
-def _render_hz_block(omega) -> list:
-    """``_render_hz`` of every element of the 1-D array ``omega``."""
-    if omega.size < _FAST_MIN_ROWS:
-        return list(map(_render_hz, omega.tolist()))
-    tokens = np.empty(omega.size, dtype=object)
-    magnitude = np.abs(omega)
+def _g_layout(k: int, negative: bool) -> tuple:
+    """How ``f"{x:.17g}"`` renders a 17-digit coefficient d times 10**-k,
+    in ``_layout``'s terms; digits after ``cut`` are fractional and lose
+    their trailing zeros."""
+    sign = "-" if negative else ""
+    e = 16 - k
+    if e < -4 or e >= 17:
+        return sign, 1, ".", f"e{e:+03d}"
+    if e < 0:
+        return sign + "0." + "0" * (-e - 1), 0, "", ""
+    return sign, e + 1, ".", ""
+
+
+def _text_matrix(tokens) -> np.ndarray:
+    """ASCII tokens as a NUL-padded (rows, width) uint8 matrix."""
+    text = np.array(tokens, dtype=bytes)
+    return text.view(np.uint8).reshape(text.size, text.itemsize)
+
+
+def _encode_block(x, hz: bool) -> np.ndarray:
+    """``_render_hz`` (hz) or ``_render_float`` of every element of the
+    1-D array x, as a NUL-padded (rows, width) uint8 matrix."""
+    render = _render_hz if hz else _render_float
+    if x.size < _FAST_MIN_ROWS:
+        return _text_matrix(list(map(render, x.tolist())))
+    magnitude = np.abs(x)
     rows = np.flatnonzero((magnitude >= 10.0**-_FAST_DECADES)
                           & (magnitude <= 10.0**_FAST_DECADES))
-    x = magnitude[rows]
-    q = x / TWO_PI
-    p, e = _two_product(q, TWO_PI)
-    q_lo = ((x - p) - e) / TWO_PI   # x/TWO_PI == q + q_lo to about 2**-104
+    q = magnitude[rows]
+    q_lo = 0.0
+    if hz:
+        m = q
+        q = m / TWO_PI
+        p, e = _two_product(q, TWO_PI)
+        q_lo = ((m - p) - e) / TWO_PI   # m/TWO_PI == q + q_lo to about 2**-104
     # scale by 10**k so that the 17-digit coefficient is the integer part
     k = 16 - np.floor(np.log10(q)).astype(np.intp)
     hi, lo = _powers_of_ten()
@@ -170,112 +207,146 @@ def _render_hz_block(omega) -> list:
     frac = t - t_floor
     whole = s.astype(np.int64) + t_floor.astype(np.int64)
     coefficient = whole + (frac > 0.5)
-    # a tie, or an exact quotient (which Decimal writes without trailing
-    # zeros), is decided by the exact path
+    # a tie is decided by the exact path, and so is an exact Hz quotient,
+    # which Decimal writes without trailing zeros
     certified = ((whole >= 10**16) & (coefficient < 10**17)
-                 & (np.abs(frac - 0.5) > _MARGIN)
-                 & (frac > _MARGIN) & (frac < 1.0 - _MARGIN))
+                 & (np.abs(frac - 0.5) > _MARGIN))
+    if hz:
+        certified &= (frac > _MARGIN) & (frac < 1.0 - _MARGIN)
     rows, k, coefficient = rows[certified], k[certified], coefficient[certified]
-    negative = omega[rows] < 0
-    key = 2 * k + negative
-    for group in np.unique(key).tolist():
-        chosen = key == group
-        head, cut, mid, tail = _layout(group // 2, bool(group % 2))
-        tokens[rows[chosen]] = [head + d[:cut] + mid + d[cut:] + tail
-                                for d in map(str, coefficient[chosen].tolist())]
-    exact = np.flatnonzero(np.equal(tokens, None))
-    tokens[exact] = list(map(_render_hz, omega[exact].tolist()))
-    return tokens.tolist()
+    # the 17 digits of every coefficient as characters, from two int32
+    # halves: eight digits (with a leading zero) and nine
+    high = coefficient // 10**9
+    half = np.stack((high, coefficient - high * 10**9)).astype(np.int32)
+    digits = np.empty((2, 9, rows.size), dtype=np.uint8)
+    for i in range(8, -1, -1):
+        quotient = half // 10
+        digits[:, i] = half - 10 * quotient + 48
+        half = quotient
+    digits = digits.reshape(18, rows.size)[1:]
+    exact = np.ones(x.size, dtype=bool)
+    exact[rows] = False
+    tokens = list(map(render, x[exact].tolist()))
+    placed = [(np.flatnonzero(exact), _text_matrix(tokens))] if tokens else []
+    # one layout per decimal exponent and sign
+    key = 2 * k + (x[rows] < 0)
+    low = int(key.min(initial=0))
+    if not hz:  # the number of digits up to the last non-zero one
+        last = ((digits != 48) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    for group in (low + np.flatnonzero(np.bincount(key - low))).tolist():
+        chosen = np.flatnonzero(key == group)
+        head, cut, mid, tail = (_layout if hz else _g_layout)(group // 2, bool(group % 2))
+        d = digits if chosen.size == rows.size else digits[:, chosen]
+        point = np.full((chosen.size, 1), 46, dtype=np.uint8)
+        if not hz:  # 'g' drops trailing fractional zeros, and then a bare point
+            keep = np.maximum(last[chosen], cut)
+            d[cut:] *= np.arange(cut, 17)[:, None] < keep
+            point[keep == cut] = 0
+        head, tail = (np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8),
+                                      (chosen.size, len(text))) for text in (head, tail))
+        parts = [head, d[:cut].T, point, d[cut:].T, tail] if mid else [head, d.T, tail]
+        placed.append((rows[chosen], np.concatenate(parts, axis=1)))
+    if len(placed) == 1 and rows.size == x.size:
+        return placed[0][1]
+    out = np.zeros((x.size, max(token.shape[1] for _, token in placed)), dtype=np.uint8)
+    for at, token in placed:
+        out[at, :token.shape[1]] = token
+    return out
 
 
-def _parse_hz_block(tokens) -> tuple:
-    """``(values, certified)``: ``_parse_hz`` of every token where
-    ``certified`` is set, for a sequence of strings."""
-    n = len(tokens)
+def _parse_block(stream, starts, length, scale) -> tuple:
+    """``(values, certified)``: the exact value of every token, times
+    scale (2pi or 1), where ``certified`` is set.  Token i is the
+    ``length[i]`` bytes of ``stream`` from ``starts[i]``; the stream ends in
+    ``_MAX_TOKEN`` zero bytes."""
+    n = starts.size
     if n < _FAST_MIN_ROWS:
         return np.zeros(n), np.zeros(n, dtype=bool)
-    # one byte stream, every token followed by its "," (no token holds one)
-    stream = np.frombuffer((",".join(tokens) + ",").encode(), dtype=np.uint8)
-    ends = np.flatnonzero(stream == 44)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    length = ends - starts
-    width = int(min(length.max(), _MAX_TOKEN))
-    # characters as (position, token), zero past each token's end
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((stream, np.zeros(width, dtype=np.uint8))), width)
-    place = np.arange(width)[:, None]
-    chars = np.where(place < length, windows[starts].T, 0)
+    width = min(-(-int(length.max()) // 4) * 4, _MAX_TOKEN)
+    windows = np.ndarray((stream.size - width + 1,), dtype=f"V{width}", buffer=stream,
+                         strides=(1,))
+    # characters as (place, token), zero past each token's end
+    chars = np.ascontiguousarray(windows[starts].view(np.uint8).reshape(n, width).T)
+    place = np.arange(width, dtype=np.uint8)[:, None]
+    chars *= place < np.minimum(length, width).astype(np.uint8)
+    reverse = np.uint8(width) - place
+
+    def first(mask):
+        """The first place where mask is set, or width."""
+        return width - (mask * reverse).max(axis=0).astype(np.intp)
+
     digit = chars - np.uint8(48)
     is_digit = digit < 10
-    rows = np.arange(n)
     negative = chars[0] == 45
-    is_e, is_dot = chars == 69, chars == 46
-    has_e, has_dot = is_e.any(axis=0), is_dot.any(axis=0)
-    e_at = np.where(has_e, is_e.argmax(axis=0), length)
-    dot_at = np.where(has_dot, is_dot.argmax(axis=0), e_at)
-    e_sign = chars[np.minimum(e_at + 1, width - 1), rows]
+    e_at = first((chars | 32) == 101)
+    has_e = e_at < width
+    e_at = np.where(has_e, e_at, length)
+    dot_at = first(chars == 46)
+    has_dot = dot_at < width
+    dot_at = np.where(has_dot, dot_at, e_at)
+    lead = first(digit - np.uint8(1) < 9)
     n_exponent = length - e_at - 2
     # every character but the sign, point, E and exponent sign is a digit
     ok = ((length <= width)
-          & (is_digit.sum(axis=0) == length - negative - has_dot - 2 * has_e)
+          & (is_digit.sum(axis=0, dtype=np.uint8) == length - negative - has_dot - 2 * has_e)
           & (dot_at > negative)
           & (~has_dot | (e_at > dot_at + 1))
-          & (~has_e | (((e_sign == 43) | (e_sign == 45)) & (n_exponent > 0)
-                       & (n_exponent <= 3))))
-    leading = is_digit & (digit > 0) & (place < e_at)
-    lead = leading.argmax(axis=0)
+          & (~has_e | ((n_exponent > 0) & (n_exponent <= 3)))
+          & (lead < e_at))
     significant = e_at - lead - (has_dot & (dot_at > lead))
-    ok &= leading.any(axis=0) & (significant <= 18)
-    coefficient = np.zeros(n, dtype=np.int64)  # Horner; wraps where not ok
-    for i in range(width):
-        coefficient = np.where(is_digit[i] & (i < e_at), 10 * coefficient + digit[i],
-                               coefficient)
-    power = np.zeros(n, dtype=np.int64)
-    for i in range(3):
-        at = e_at + 2 + i
-        power = np.where(has_e & (at < length),
-                         10 * power + digit[np.minimum(at, width - 1), rows], power)
-    power = (np.where(e_sign == 45, -power, power)
-             - np.where(has_dot, e_at - dot_at - 1, 0))
+    ok &= significant <= 18
+    # Horner over the mantissa digits, four places a step; wraps where not ok
+    mantissa = is_digit & (place < np.minimum(e_at, width).astype(np.uint8))
+    factor = mantissa * np.uint8(9) + np.uint8(1)
+    digit *= mantissa
+    factor, digit = factor[::2] * factor[1::2], digit[::2] * factor[1::2] + digit[1::2]
+    factor, digit = (factor[::2].astype(np.uint16) * factor[1::2],
+                     digit[::2].astype(np.uint16) * factor[1::2] + digit[1::2])
+    coefficient = np.zeros(n, dtype=np.int64)
+    for i in range(width // 4):
+        coefficient *= factor[i]
+        coefficient += digit[i]
+    power = np.where(has_dot, dot_at + 1 - e_at, 0)
+    exponent = np.flatnonzero(has_e & ok)
+    if exponent.size:
+        at = starts[exponent] + e_at[exponent] + 1
+        sign = stream[at]
+        ok[exponent] &= (sign == 43) | (sign == 45)
+        value = np.zeros(exponent.size, dtype=np.intp)
+        for i in range(1, 4):
+            value = np.where(i <= n_exponent[exponent], 10 * value + stream[at + i] - 48,
+                             value)
+        power[exponent] += np.where(sign == 45, -value, value)
     ok &= np.abs(power + significant - 1) <= _FAST_DECADES
     coefficient, power = np.where(ok, coefficient, 0), np.where(ok, power, 0)
     hi, lo = _powers_of_ten()
     c_hi = coefficient.astype(float)
     c_lo = (coefficient - c_hi.astype(np.int64)).astype(float)
     x_hi, x_lo = _dd_multiply(c_hi, c_lo, hi[power + _MAX_POWER], lo[power + _MAX_POWER])
-    value, rest = _dd_multiply(x_hi, x_lo, TWO_PI, 0.0)
+    value, rest = _dd_multiply(x_hi, x_lo, scale, 0.0)
     # the nearest double is value unless the exact product may sit on the
     # tie between value and its neighbour on the side of rest
-    neighbour = np.nextafter(value, np.where(rest < 0, 0.0, np.inf))
+    neighbour = (value.view(np.int64) + np.where(rest < 0, -1, 1)).view(float)
     ok &= np.abs(rest) < (1.0 - _MARGIN) * np.abs(neighbour - value) / 2
     return np.where(negative, -value, value), ok
 
 
-def _parse_hz_column(tokens, numbers, name):
-    values = np.empty(len(tokens))
-    for start in range(0, len(tokens), _BLOCK):
-        block = tokens[start:start + _BLOCK]
-        fast, certified = _parse_hz_block(block)
-        values[start:start + len(block)] = fast
-        for i in np.flatnonzero(~certified).tolist():
-            values[start + i] = _parse(_parse_hz, block[i], numbers[start + i], name)
+def _parse_column(stream, starts, length, numbers, name, hz):
+    """One column's values; a token the fast path does not certify goes
+    through the exact parse, which names its row if it fails."""
+    parse = _parse_hz if hz else float
+    text = memoryview(stream)
+    values = np.empty(starts.size)
+    for start in range(0, starts.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        fast, certified = _parse_block(stream, starts[block], length[block],
+                                       TWO_PI if hz else 1.0)
+        values[block] = fast
+        exact = start + np.flatnonzero(~certified)
+        for i, begin, end in zip(exact.tolist(), starts[exact].tolist(),
+                                 (starts[exact] + length[exact]).tolist()):
+            values[i] = _parse(parse, str(text[begin:end], "utf-8"), numbers[i], name)
     return values
-
-
-def _render_plain(x) -> list:
-    return list(map(_render_float, x.tolist()))
-
-
-def _parse_plain_column(tokens, numbers, name):
-    try:
-        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    # name the first bad row
-    return np.array([_parse(float, token, number, name)
-                     for token, number in zip(tokens, numbers)])
 
 
 @dataclass(frozen=True)
@@ -291,56 +362,71 @@ class Table:
                   for _, column in zip(self.header, columns, strict=True)]
         if len({a.shape for a in arrays}) > 1:
             raise ValueError("columns differ in length")
-        renders = [_render_hz_block if name in self.hz else _render_plain
-                   for name in self.header]
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(",".join(self.header) + "\n")
+        with open(path, "wb") as out:
+            out.write((",".join(self.header) + "\n").encode())
             for start in range(0, arrays[0].size, _BLOCK):
-                fields = [render(a[start:start + _BLOCK])
-                          for render, a in zip(renders, arrays)]
-                out.write("\n".join(map(",".join, zip(*fields))) + "\n")
+                fields = [_encode_block(a[start:start + _BLOCK], name in self.hz)
+                          for name, a in zip(self.header, arrays)]
+                comma = np.full((fields[0].shape[0], 1), 44, dtype=np.uint8)
+                block = np.concatenate([part for field in fields
+                                        for part in (field, comma)], axis=1)
+                block[:, -1] = 10
+                out.write(block[block != 0].tobytes())
 
     def read(self, path) -> list:
         """Return one float array per header column (rad/s for Hz)."""
-        numbers, columns = self._split(path)
-        return [(_parse_hz_column if name in self.hz else _parse_plain_column)(
-                    tokens, numbers, name)
-                for name, tokens in zip(self.header, columns)]
+        numbers, stream, ends = self._split(Path(path).read_bytes())
+        width = len(self.header)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        length = ends - starts
+        stream = np.concatenate((stream, np.zeros(_MAX_TOKEN, dtype=np.uint8)))
+        return [_parse_column(stream, np.ascontiguousarray(starts[i::width]),
+                              np.ascontiguousarray(length[i::width]), numbers, name,
+                              name in self.hz)
+                for i, name in enumerate(self.header)]
 
-    def _split(self, path) -> tuple:
-        """Check the header and every row's width; return the row numbers
-        and one sequence of tokens per column.
-
-        A separate method, so the file's lines are freed before parsing.
-        """
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    def _split(self, data: bytes) -> tuple:
+        """Check the header and every row's width; return the row numbers,
+        the data rows as a uint8 stream in which every token ends in "," or
+        "\n", and the positions of those separators."""
+        width = len(self.header)
+        head = (",".join(self.header) + "\n").encode()
+        stream = np.frombuffer(data, dtype=np.uint8)[len(head):]
+        if data.startswith(head) and stream.size:
+            if stream[-1] != 10:
+                stream = np.append(stream, np.uint8(10))
+            ends = np.flatnonzero((stream == 44) | (stream == 10))
+            rows = ends.size // width
+            # every line holds width tokens, none of them empty, and no
+            # control or non-ASCII byte but its "\n" (nor any other line
+            # break of str.splitlines)
+            if (ends.size == rows * width and np.diff(ends, prepend=-1).min() > 1
+                    and ((stream[ends] == 10).reshape(rows, width)
+                         == (np.arange(width) == width - 1)).all()
+                    and np.count_nonzero(stream - np.uint8(32) >= 96) == rows):
+                return range(2, rows + 2), stream, ends
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            row = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+            raise CsvFormatError(f"row {row}: invalid UTF-8 byte "
+                                 f"{data[exc.start]:#04x}") from None
         expected = ",".join(self.header)
         if not lines or lines[0] != expected:
             raise CsvFormatError(f"row 1: expected header '{expected}'")
-        width = len(self.header)
-        del lines[0]
-        commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp,
-                             count=len(lines))
-        if lines and (commas == width - 1).all() and "" not in lines:
-            # no blank line to skip and no ragged row: split the lot at once
-            text = ",".join(lines)
-            del lines
-            tokens = text.split(",")
-            return range(2, len(tokens) // width + 2), [tokens[i::width]
-                                                        for i in range(width)]
         numbers, rows = [], []
-        for number, line in enumerate(lines, start=2):
+        for number, line in enumerate(lines[1:], start=2):
             if line == "":
                 continue
-            tokens = line.split(",")
-            if len(tokens) != width:
+            if line.count(",") != width - 1:
                 raise CsvFormatError(f"row {number}: expected "
-                                     f"{width} columns, got {len(tokens)}")
+                                     f"{width} columns, got {line.count(',') + 1}")
             numbers.append(number)
-            rows.append(tuple(tokens))  # smaller than the list split returns
+            rows.append(line)
         if not rows:
             raise CsvFormatError("row 2: no data rows")
-        return numbers, list(zip(*rows))
+        stream = np.frombuffer(("\n".join(rows) + "\n").encode(), dtype=np.uint8)
+        return numbers, stream, np.flatnonzero((stream == 44) | (stream == 10))
 
 
 TIME_SERIES = Table(("time_s", "gamma1_hz"), hz=("gamma1_hz",))

@@ -338,6 +338,21 @@ class TestErrorPaths:
         assert cli.main(["psd-fit", "--input", str(bad),
                          "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["psd-fit", "floor-fit"])
+    def test_non_utf8_csv_names_the_row(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"time_s,gamma1_hz\n0,1\xff\n10,2\n")
+        assert cli.main([command, "--input", str(bad),
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: row 2: invalid UTF-8 byte 0xff\n"
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"label": "readout"', b'"label": "\xe9"'))
+        assert cli.main(["rates", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: config file is not UTF-8: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_env_seed(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         monkeypatch.setenv("THERMOQ_SEED", "not-a-number")

@@ -306,6 +306,12 @@ class TestLoadConfig:
                            match=r"ports\[2\]\.temperature_k: expected a finite"):
             config_mod.load_config(path)
 
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(json.dumps(base_config()).encode().replace(b'"out"', b'"\xff"'))
+        with pytest.raises(ConfigError, match=r"^config file is not UTF-8: invalid byte 0xff"):
+            config_mod.load_config(path)
+
     def test_shipped_sample_parses(self):
         sample = pathlib.Path(__file__).resolve().parent.parent / "sample.json"
         run = config_mod.load_config(sample)

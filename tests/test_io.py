@@ -5,6 +5,7 @@ is rad/s; values are rendered with 17 significant digits so a
 write-then-read round trip is the identity on IEEE doubles.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -104,9 +105,6 @@ def test_table_write_rejects_ragged_columns(tmp_path):
         io.DEPHASING_SWEEP.write(tmp_path / "x.csv", ([0.1, 0.2],))
 
 
-HZ_TABLES = {name: table for name, table in TABLES.items() if table.hz}
-
-
 def fast_path_values():
     """Omegas for the vectorised Hz path: mostly routine rows, plus every
     kind of row it must hand to the exact path, over more than two blocks."""
@@ -127,6 +125,28 @@ def fast_path_values():
     return values[rng.permutation(values.size)]
 
 
+def plain_fast_path_values(count):
+    """Doubles for the vectorised plain path: routine values, uniform times
+    at dt = 1/3, and every kind of value it must hand to the exact path."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
+    routine = rng.standard_normal(4000) * 10.0 ** rng.integers(-30, 30, 4000)
+    thirds = np.arange(2000) / 3
+    halfway = near_halfway(rng, 1e6, 20)
+    # dyadic values on an exact 17-digit rounding midpoint
+    # (3/2**25 is 8.94069671630859375e-8)
+    dyadic = [sign * j / 2.0**s for sign in (1, -1)
+              for j in (1, 3, 5, 7) for s in range(1, 80)]
+    # within an ulp of where 'g' switches notation
+    switch = [np.nextafter(x, x * direction) for v in (1e-5, 1e-4, 1e16, 1e17)
+              for x in (v, -v) for direction in (0.0, 1.0, 2.0)]
+    integers = np.arange(-3000.0, 3000.0, 7.0)
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e240, -1e-240]
+    values = np.concatenate([routine, thirds, halfway, dyadic, switch, integers,
+                             extremes])
+    return np.resize(values[rng.permutation(values.size)], count)
+
+
 def exact_tokens(table, columns):
     """The rows the exact per-value functions alone would write."""
     return [",".join(io._render_hz(x) if name in table.hz else io._render_float(x)
@@ -134,11 +154,12 @@ def exact_tokens(table, columns):
             for row in zip(*(c.tolist() for c in columns))]
 
 
-@pytest.mark.parametrize("name", HZ_TABLES)
+@pytest.mark.parametrize("name", TABLES)
 def test_fast_path_equals_exact_path(tmp_path, name):
-    table = HZ_TABLES[name]
+    table = TABLES[name]
     values = fast_path_values()
-    columns = [np.roll(values, 7 * i) if col in table.hz else np.roll(values, i) / TWO_PI
+    plain = plain_fast_path_values(values.size)
+    columns = [np.roll(values, 7 * i) if col in table.hz else np.roll(plain, 7 * i)
                for i, col in enumerate(table.header)]
     path = tmp_path / f"{name}.csv"
     table.write(path, columns)
@@ -159,22 +180,23 @@ def test_fast_path_takes_nearly_every_row(tmp_path, monkeypatch):
     values = TWO_PI * np.where(rng.uniform(size=n) < 0.5,
                                3.9e6 + 215e3 * rng.standard_normal(n),
                                -(10.0 ** rng.uniform(-12, 24, n)))
-    calls = {"render": 0, "parse": 0}
+    calls = dict.fromkeys(["_render_hz", "_render_float", "_parse"], 0)
 
     def counted(key, function):
-        def wrapper(arg):
+        def wrapper(*args):
             calls[key] += 1
-            return function(arg)
+            return function(*args)
         return wrapper
 
-    monkeypatch.setattr(io, "_render_hz", counted("render", io._render_hz))
-    monkeypatch.setattr(io, "_parse_hz", counted("parse", io._parse_hz))
+    for key in calls:  # every exact render, and every exact parse of either kind
+        monkeypatch.setattr(io, key, counted(key, getattr(io, key)))
     path = tmp_path / "series.csv"
-    io.TIME_SERIES.write(path, (np.arange(n) * 10.0, values))
-    _, read = io.TIME_SERIES.read(path)
+    times = np.arange(n) * 10.0
+    io.TIME_SERIES.write(path, (times, values))
+    read_times, read = io.TIME_SERIES.read(path)
     assert read.tobytes() == values.tobytes()
-    assert calls["render"] <= n // 1000
-    assert calls["parse"] <= n // 1000
+    assert read_times.tobytes() == times.tobytes()
+    assert all(count <= n // 1000 for count in calls.values()), calls
 
 
 def convergents(x):
@@ -283,6 +305,88 @@ def test_reader_grammar_matches_exact_parse(tmp_path_factory, extra, bad_temp):
         return
     for read, want in zip(io.STARK_SWEEP.read(path), expected):
         assert read.tobytes() == want.tobytes()
+
+
+def edge_case_files():
+    """(id, bytes) of STARK_SWEEP files the byte splitter must hand to the
+    line-by-line path, or split exactly as that path would."""
+    head = "temp_k,shift_hz"
+    files = {}
+    for size in (3, len(BASE_ROWS) + 6):
+        rows = [f"{a},{b}" for a, b in (BASE_ROWS * 2)[:size]]
+
+        def text(lines, end="\n"):
+            return end.join([head, *lines]) + end
+
+        cases = {"lf": text(rows), "crlf": text(rows, "\r\n"),
+                 "no_final_newline": text(rows)[:-1],
+                 "interior_blank": text(rows[:2] + [""] + rows[2:]),
+                 "trailing_blanks": text(rows) + "\n\n",
+                 "ragged_last": text(rows[:-1] + ["0.5"]),
+                 "empty_field": text(rows[:-1] + ["0.5,"])}
+        for name, brk in [("cr", "\r"), ("vt", "\x0b"), ("ff", "\x0c"), ("fs", "\x1c"),
+                          ("gs", "\x1d"), ("rs", "\x1e"), ("nel", "\x85"),
+                          ("ls", "\u2028")]:
+            # as a line break, and inside a row, where it makes the row ragged
+            cases[f"{name}_break"] = text(rows[:1])[:-1] + brk + text(rows[1:])[len(head) + 1:]
+            cases[f"{name}_in_row"] = text([rows[0].replace(",", brk + ",")] + rows[1:])
+        cases["tab_in_token"] = text([rows[0].replace(",", "\t,")] + rows[1:])
+        files.update({f"{name}_{size}": body.encode() for name, body in cases.items()})
+    files.update(header_only=f"{head}\n".encode(), header_no_newline=head.encode(),
+                 empty=b"")
+    return files
+
+
+EDGE_CASES = edge_case_files()
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_splitter_matches_line_by_line_read(tmp_path, name):
+    path = tmp_path / "stark.csv"
+    path.write_bytes(EDGE_CASES[name])
+    try:
+        expected = reference_read(io.STARK_SWEEP, path)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as excinfo:
+            io.STARK_SWEEP.read(path)
+        assert str(excinfo.value) == str(exc)
+        return
+    for read, want in zip(io.STARK_SWEEP.read(path), expected):
+        assert read.tobytes() == want.tobytes()
+
+
+def test_one_column_blank_line_is_skipped(tmp_path):
+    table = io.Table(("x",))
+    path = tmp_path / "x.csv"
+    path.write_text("x\n" + "".join(f"{i}\n" for i in range(1, 100)) + "\n7\n",
+                    encoding="utf-8")
+    for read, want in zip(table.read(path), reference_read(table, path)):
+        assert read.tobytes() == want.tobytes()
+
+
+def test_invalid_utf8_names_its_row(tmp_path):
+    rows = [f"{a},{b}\n".encode() for a, b in BASE_ROWS * 2]
+    rows[68] = rows[68].replace(b",", b"\xff,")
+    path = tmp_path / "stark.csv"
+    path.write_bytes(b"temp_k,shift_hz\r\n" + b"".join(rows))
+    with pytest.raises(CsvFormatError, match=r"^row 70: invalid UTF-8 byte 0xff$"):
+        io.STARK_SWEEP.read(path)
+
+
+def test_time_series_bytes_are_pinned(tmp_path):
+    """2**17 rows built with integer arithmetic only, so the file is the
+    same on every platform; its SHA-256 is that of the exact per-row
+    functions' output."""
+    i = np.arange(2**17, dtype=np.int64)
+    times = (3 * i).astype(float) / 8
+    values = ((i * 48271) % 2147483647 - 2**30).astype(float) * 2.0**-8
+    path = tmp_path / "series.csv"
+    io.TIME_SERIES.write(path, (times, values))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f39190a69700e87855358e3decd963c739edb6bfa3db11ad6185f7efe8cfedc4")
+    read_times, read_values = io.TIME_SERIES.read(path)
+    assert read_times.tobytes() == times.tobytes()
+    assert read_values.tobytes() == values.tobytes()
 
 
 class TestTimeSeriesRoundTrip:
