@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, decoherence, io, spectra
-from .cavity import (PORT_LABELS, StarkSweepPoint, ac_stark_shift,
-                     calibrate_attenuation)
+from .cavity import StarkSweepPoint, ac_stark_shift, calibrate_attenuation
 from .config import RunConfig, load_config
 from .constants import TWO_PI
 from .errors import ConfigError, FitError, ValidationError
@@ -82,6 +81,18 @@ def _integer_at_least(minimum: int):
                 f"must be >= {minimum}, got {value}")
         return value
     return parse
+
+
+def _finite_float(text: str) -> float:
+    """An argparse type accepting finite floats only."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 _positive_int = _integer_at_least(1)
@@ -283,8 +294,8 @@ def _write_report(out: Path, command: str, inputs: list, outputs: list,
 
 
 _MODE = ("--mode", dict(choices=("microscopic", "phenomenological"), default="microscopic"))
-_T_RANGE = (("--t-min", dict(type=float, default=0.05)),
-            ("--t-max", dict(type=float, default=1.5)))
+_T_RANGE = (("--t-min", dict(type=_finite_float, default=0.05)),
+            ("--t-max", dict(type=_finite_float, default=1.5)))
 
 
 class _Command(NamedTuple):
@@ -307,17 +318,17 @@ _COMMANDS = {
     "stark-sweep": _Command(
         "cmd_stark_sweep", "model ac-Stark shift vs readout temperature", arguments=(
             *_T_RANGE, ("--points", dict(type=_positive_int, default=15)),
-            ("--alpha", dict(type=float, default=None,
+            ("--alpha", dict(type=_finite_float, default=None,
                              help="line attenuation (default: readout port value)")))),
     "calibrate": _Command(
         "cmd_calibrate", "fit attenuation or antenna coupling from a Stark sweep",
         arguments=(("--input", dict(required=True, help="Stark sweep CSV")),
                    ("--port", dict(choices=("readout", "antenna"), required=True)),
-                   ("--alpha", dict(type=float, default=None,
+                   ("--alpha", dict(type=_finite_float, default=None,
                                     help="known attenuation (antenna calibration)")))),
     "gamma1-sweep": _Command(
         "cmd_gamma1_sweep", "relaxation-rate models vs photon number",
-        arguments=(("--n-max", dict(type=float, default=2.0)),
+        arguments=(("--n-max", dict(type=_finite_float, default=2.0)),
                    ("--points", dict(type=_positive_int, default=41)))),
     "dephasing-sweep": _Command(
         "cmd_dephasing_sweep", "second-order antenna dephasing vs temperature",

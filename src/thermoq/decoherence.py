@@ -188,7 +188,14 @@ def dephasing_second_order(T_a: float, geometry: CouplingGeometry) -> float:
     if T_a < 0:
         raise DomainError("temperature must be >= 0")
     prefactor = (math.pi**2 / (4 * math.sqrt(3))) * geometry.M_a**2 / (geometry.L_loop * geometry.Z0)
-    return TWO_PI * prefactor**2 * (k_B * T_a / hbar) ** 3
+    try:
+        rate = TWO_PI * prefactor**2 * (k_B * T_a / hbar) ** 3
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise DomainError(f"second-order dephasing rate is not finite at "
+                          f"temperature {T_a} K")
+    return rate
 
 
 def second_order_dissipation_param(geometry: CouplingGeometry, omega_q0: float) -> float:

@@ -11,9 +11,9 @@ spectral analysis consumes.
 The campaign layer is mechanism-agnostic: whatever makes the true rate
 move (microscopic defect dynamics, photon-number drift, nothing at all)
 is the source's business; this module only measures it the way an
-experiment would.  Every tick still gets its own shot-noise-limited
-relaxation trace from its own random stream, but the campaign holds all
-traces in one (ticks, points) array and fits them in one batched
+experiment would.  Every tick gets its own shot-noise-limited
+relaxation trace; the campaign holds all traces in one (ticks, points)
+array, draws their noise in one call and fits them in one batched
 Levenberg-Marquardt pass (``fit_decay_traces``).
 """
 
@@ -213,11 +213,12 @@ def simulate_campaign(config: CampaignConfig, gamma1_source) -> CampaignResult:
     ``gamma1_source`` is either a TimeSeries of true rates (sampled by
     zero-order hold) or a callable t -> rate, evaluated once per tick.
     Each campaign tick simulates one shot-noise-limited relaxation trace
-    at the instantaneous true rate, drawn from that tick's own child of
-    ``SeedSequence(config.seed)``; all traces are then fitted in one
-    batch.  Ticks whose fit shows no significant decay, or spans fewer
-    than 1.5 fitted decay constants (a wild fit at low averaging), become
-    gaps.
+    at the instantaneous true rate.  The whole (ticks, points) grid
+    draws its noise from ``SeedSequence(config.seed)`` in C order, so a
+    tick's noise does not depend on the ticks after it; all traces are
+    then fitted in one batch.  Ticks whose fit shows no significant decay,
+    or spans fewer than 1.5 fitted decay constants (a wild fit at low
+    averaging), become gaps.
     """
     n_points = int(round(config.duration * config.point_rate))
     dt = 1.0 / config.point_rate
@@ -234,11 +235,7 @@ def simulate_campaign(config: CampaignConfig, gamma1_source) -> CampaignResult:
     times = np.ascontiguousarray(np.linspace(
         0.0, _CAMPAIGN_TRACE_SPAN / rates, _CAMPAIGN_TRACE_POINTS, axis=1))
     p_e = np.clip(_model_p_e("relaxation", rates[:, None], None, times), 0.0, 1.0)
-    for i in range(n_points):
-        # child i of SeedSequence(seed).spawn(n_points), made one at a time
-        child = np.random.SeedSequence(config.seed, spawn_key=(i,))
-        p_e[i] = _shot_noise(p_e[i], config.n_averages,
-                             int(child.generate_state(1)[0]))
+    p_e = _shot_noise(p_e, config.n_averages, config.seed)
 
     fits, no_decay, short_span = fit_decay_traces(times, p_e)
     good = ~(no_decay | short_span)

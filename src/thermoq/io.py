@@ -33,11 +33,12 @@ per row:
 A row keeps the fast result only when it is certified to be the exact
 function's, i.e. when it lies clear of every rounding tie.  Every other
 row goes through the exact function: ties and near-ties, Hz quotients
-that Decimal writes with fewer than 17 digits, zeros, non-finite values,
-magnitudes beyond 1e+-240, tokens outside the strict form
-``-?d+(.d+)?([Ee][+-]d{1,3})?`` with at most 18 significant digits, and
-every block under ``_FAST_MIN_ROWS`` rows.  The bytes on disk and the
-values read back are the same as with the exact functions alone.
+that Decimal writes with fewer than 17 digits, zeros, magnitudes beyond
+1e+-240, tokens outside the strict form ``-?d+(.d+)?([Ee][+-]d{1,3})?``
+with at most 18 significant digits, and every block under
+``_FAST_MIN_ROWS`` rows.  The bytes on disk and the values read back are
+the same as with the exact functions alone.  A non-finite value is
+refused before its file is opened, since no reader would take it back.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 
 from .cavity import StarkSweepPoint
 from .constants import TWO_PI
-from .errors import CsvFormatError
+from .errors import CsvFormatError, DomainError
 from .spectral import Spectrum
 from .tlssim import TimeSeries
 
@@ -362,6 +363,12 @@ class Table:
                   for _, column in zip(self.header, columns, strict=True)]
         if len({a.shape for a in arrays}) > 1:
             raise ValueError("columns differ in length")
+        if not all(np.isfinite(a).all() for a in arrays):
+            # name the first one in file order; nothing is written
+            bad = ~np.isfinite(np.column_stack(arrays))
+            row, column = divmod(int(np.argmax(bad)), len(arrays))
+            raise DomainError(f"row {row + 2}: non-finite value in column "
+                              f"'{self.header[column]}'")
         with open(path, "wb") as out:
             out.write((",".join(self.header) + "\n").encode())
             for start in range(0, arrays[0].size, _BLOCK):

@@ -36,9 +36,10 @@ def bose_occupation(omega: float, T: float) -> float:
     Returns exactly 0.0 at T = 0.  Monotone increasing in T.
     """
     _check_omega_temp(omega, T)
-    if T == 0.0:
+    thermal = k_B * T
+    if thermal == 0.0:  # T = 0, or so small that k_B*T underflows
         return 0.0
-    x = hbar * omega / (k_B * T)
+    x = hbar * omega / thermal
     if x > _EXP_SWITCH:
         return math.exp(-x)
     return 1.0 / math.expm1(x)

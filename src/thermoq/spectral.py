@@ -16,7 +16,7 @@ a white spectrum decides whether the record is colored at all.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,7 +21,7 @@ of execution parallelism.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

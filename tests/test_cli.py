@@ -7,9 +7,14 @@ emits a report listing each output file with its content hash.
 
 import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermoq
 from thermoq import cli, io, spectral
@@ -411,6 +416,36 @@ class TestErrorPaths:
                          "--mode", "phenomenological"]) == 2
         assert capsys.readouterr().err == "error: THERMOQ_SEED: must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dephasing-sweep", "--t-max", "1e300"],
+         "second-order dephasing rate is not finite at temperature "),
+        (["dephasing-sweep", "--t-min", "1e100", "--t-max", "1e100"],
+         "second-order dephasing rate is not finite at temperature 1e+100 K"),
+        (["gamma1-sweep", "--n-max", "1e308"],
+         "row 3: non-finite value in column 'gamma1_antenna_hz'"),
+        (["stark-sweep", "--t-min", "1e-310"],  # k_B*T underflows to 0
+         "sweep temperature 1e-310 K outside the instrument range"),
+    ])
+    def test_out_of_range_sweep_writes_no_csv(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("temperature", [1e100, 1e300])
+    def test_overflowing_antenna_temperature(self, tmp_path, capsys, temperature):
+        data = base_config()
+        data["ports"][2]["temperature_k"] = temperature
+        data["output_dir"] = str(tmp_path / "out")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        assert cli.main(["rates", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: second-order dephasing rate is not finite at temperature "
+            f"{temperature} K\n")
+        assert not (tmp_path / "out" / "rates.json").exists()
+
 
 class TestArgumentTypes:
     @pytest.mark.parametrize("argv", [
@@ -430,6 +465,23 @@ class TestArgumentTypes:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith(f"thermoq {argv[0]}: error: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["dephasing-sweep", "--t-min", "nan"],
+        ["dephasing-sweep", "--t-max", "inf"],
+        ["stark-sweep", "--t-max=-inf"],
+        ["stark-sweep", "--alpha", "nan"],
+        ["gamma1-sweep", "--n-max", "nan"],
+        ["gamma1-sweep", "--n-max", "inf"],
+        ["calibrate", "--port", "antenna", "--input", "sweep.csv", "--alpha", "inf"],
+    ])
+    def test_non_finite_float_option_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--config", str(cfg)])
+        assert excinfo.value.code == 2
+        assert ": must be finite, got " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bins_per_decade_must_be_positive(self, tmp_path, capsys):
@@ -530,3 +582,92 @@ class TestParserEquivalence:
             cli.main(["rates", "--bogus"])
         assert built == ["rates", "rates", None]
         capsys.readouterr()
+
+
+BOUNDARY_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                   1e-300, 1e100, 1e300)
+FUZZ_FLOAT = st.one_of(st.sampled_from(BOUNDARY_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+# the float options of each fuzzed subcommand; size options stay at their
+# defaults, so no example allocates much
+FLOAT_OPTIONS = {
+    "stark-sweep": ("--t-min", "--t-max", "--alpha"),
+    "gamma1-sweep": ("--n-max",),
+    "dephasing-sweep": ("--t-min", "--t-max"),
+    "calibrate": ("--alpha",),
+    "rates": (),
+}
+CSV_TABLES = {"stark_sweep.csv": io.STARK_SWEEP,
+              "gamma1_sweep.csv": io.GAMMA1_SWEEP,
+              "dephasing_sweep.csv": io.DEPHASING_SWEEP}
+
+
+@st.composite
+def float_boundary_runs(draw):
+    """(argv without --config, port temperatures or None for the base ones)."""
+    command = draw(st.sampled_from(sorted(FLOAT_OPTIONS)))
+    argv = [command]
+    for flag in FLOAT_OPTIONS[command]:
+        value = draw(st.one_of(st.none(), FUZZ_FLOAT))
+        if value is not None:  # "=" keeps "-inf" from reading as a flag
+            argv.append(f"{flag}={value!r}")
+    if command == "calibrate":
+        argv += ["--port", draw(st.sampled_from(["readout", "antenna"]))]
+    temperatures = None
+    if command == "rates":
+        temperatures = draw(st.lists(st.one_of(st.none(), FUZZ_FLOAT),
+                                     min_size=3, max_size=3))
+    return argv, temperatures
+
+
+def holds_null(value):
+    if isinstance(value, dict):
+        return any(holds_null(v) for v in value.values())
+    if isinstance(value, list):
+        return any(holds_null(v) for v in value)
+    return value is None
+
+
+@pytest.fixture(scope="module")
+def stark_sweep_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("stark")
+    cfg = out / "run.json"
+    cfg.write_text(json.dumps(base_config()))
+    assert cli.main(["stark-sweep", "--config", str(cfg),
+                     "--output-dir", str(out)]) == 0
+    return out / "stark_sweep.csv"
+
+
+class TestFloatBoundaryFuzz:
+    """Non-finite, signed-zero, tiny and huge floats at every float option
+    and port temperature either run cleanly or exit 2 or 3; a clean run
+    writes only files that read back, with no null in its JSON."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=float_boundary_runs())
+    def test_exit_code_and_outputs(self, stark_sweep_csv, run):
+        argv, temperatures = run
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            data = base_config()
+            for port, temperature in zip(data["ports"], temperatures or ()):
+                if temperature is not None:
+                    port["temperature_k"] = temperature
+            cfg = work / "run.json"
+            cfg.write_text(json.dumps(data))
+            if argv[0] == "calibrate":
+                argv = [*argv, "--input", str(stark_sweep_csv)]
+            out = work / "out"
+            try:
+                code = cli.main([*argv, "--config", str(cfg), "--output-dir", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 2, 3)
+            if code != 0:
+                return
+            for entry in read_json(out / "report.json")["outputs"]:
+                path = out / entry["path"]
+                if path.suffix == ".csv":
+                    CSV_TABLES[path.name].read(path)
+                else:
+                    assert not holds_null(read_json(path)), path.name

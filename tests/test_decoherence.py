@@ -1,6 +1,7 @@
 """Tests for the relaxation/dephasing rate budget and flux transfer functions."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from thermoq import decoherence
 from thermoq.constants import TWO_PI, hbar, k_B
-from thermoq.errors import InconsistencyError, SingularityError, UnphysicalSlopeError
+from thermoq.errors import (DomainError, InconsistencyError, SingularityError,
+                            UnphysicalSlopeError)
 
 from test_cavity import make_params
 
@@ -258,6 +260,12 @@ class TestDephasingSecondOrder:
         assert decoherence.dephasing_second_order(0.05, geom) == pytest.approx(
             DEPHASING_2ND_50MK, rel=1e-6
         )
+
+    @pytest.mark.parametrize("T", [1e100, 1e300, math.nan])
+    def test_non_finite_rate_names_the_temperature(self, T):
+        # (k_B T / hbar)^3 overflows (a bare OverflowError for a float) or is nan
+        with pytest.raises(DomainError, match=re.escape(f"at temperature {T} K")):
+            decoherence.dephasing_second_order(T, make_geometry())
 
     def test_transfer_route_agrees(self):
         geom = make_geometry()

@@ -309,14 +309,44 @@ class TestSimulateCampaign:
             if idx > 0:
                 assert result.series.values[idx] == result.series.values[idx - 1]
 
-    def test_gap_decisions_are_pinned(self):
-        # the gap ticks of the per-tick serial fit this campaign replaced
+    def test_gap_decisions_are_pinned(self, monkeypatch):
+        # the batched fit gaps exactly the ticks that fitting each trace
+        # alone gaps, and the gap set of this seed's stream is pinned
+        real = experiments.fit_decay_traces
+        handed = []
+
+        def capture(times, p_e):
+            handed.append((times.copy(), p_e.copy()))
+            return real(times, p_e)
+
+        monkeypatch.setattr(experiments, "fit_decay_traces", capture)
         config = self.make_config(point_rate=0.1, duration=640.0,
                                   n_averages=4, seed=2)
         result = experiments.simulate_campaign(config, constant_source())
+        [(times, p_e)] = handed
+        serial = []
+        for i in range(len(p_e)):
+            _, no_decay, short_span = real(times[i], p_e[i])
+            if no_decay[0] or short_span[0]:
+                serial.append(i)
+        assert result.gap_indices == tuple(serial)
         assert result.gap_indices == (
-            0, 1, 4, 5, 6, 7, 8, 12, 17, 19, 20, 21, 26, 30, 31, 33, 41, 44,
-            47, 51, 52, 57, 62)
+            1, 3, 17, 23, 24, 25, 27, 33, 34, 38, 42, 46, 47, 53, 54, 56)
+
+    @pytest.mark.parametrize("n_averages", [4, 400_000])
+    def test_ticks_do_not_depend_on_later_ticks(self, n_averages):
+        # the shot noise is drawn tick after tick from one stream, so a
+        # short campaign is the head of a long one, values and gaps alike
+        short = experiments.simulate_campaign(
+            self.make_config(duration=640.0, n_averages=n_averages, seed=2),
+            constant_source())
+        long = experiments.simulate_campaign(
+            self.make_config(n_averages=n_averages, seed=2), constant_source())
+        assert short.series.values.size == 64
+        assert long.series.values.size == 1200
+        assert np.array_equal(short.series.values, long.series.values[:64])
+        assert short.gap_indices == tuple(
+            i for i in long.gap_indices if i < 64)
 
     def test_low_averaging_campaign_raises_no_warning(self):
         # diverging trial steps of wild rows must not spam stderr

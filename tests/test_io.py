@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from thermoq import io
 from thermoq.cavity import StarkSweepPoint
 from thermoq.constants import TWO_PI
-from thermoq.errors import CsvFormatError
+from thermoq.errors import CsvFormatError, DomainError
 from thermoq.spectral import Spectrum
 from thermoq.tlssim import TimeSeries
 
@@ -103,6 +103,24 @@ def test_table_write_rejects_ragged_columns(tmp_path):
         io.DEPHASING_SWEEP.write(tmp_path / "x.csv", ([0.1, 0.2], [1.0]))
     with pytest.raises(ValueError):
         io.DEPHASING_SWEEP.write(tmp_path / "x.csv", ([0.1, 0.2],))
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([0.1, math.nan], [1.0, 2.0]), "row 3: non-finite value in column 'temp_k'"),
+    (([0.1, 0.2], [1.0, -math.inf]), "row 3: non-finite value in column 'gamma_phi_hz'"),
+    # the first bad row in file order, and within it the first bad column
+    (([0.1, 0.2, math.inf], [1.0, math.nan, 3.0]),
+     "row 3: non-finite value in column 'gamma_phi_hz'"),
+    (([0.1, math.inf], [1.0, math.nan]), "row 3: non-finite value in column 'temp_k'"),
+    ((np.arange(100.0), np.where(np.arange(100) == 70, math.inf, 1.0)),
+     "row 72: non-finite value in column 'gamma_phi_hz'"),
+])
+def test_table_write_refuses_non_finite_values(tmp_path, columns, message):
+    path = tmp_path / "x.csv"
+    with pytest.raises(DomainError) as excinfo:
+        io.DEPHASING_SWEEP.write(path, columns)
+    assert str(excinfo.value) == message
+    assert not path.exists()
 
 
 def fast_path_values():

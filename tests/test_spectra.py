@@ -60,6 +60,12 @@ class TestBoseOccupation:
         # hbar*omega/k_B*T ~ 960: must underflow to 0.0, not raise
         assert spectra.bose_occupation(TWO_PI * 1e12, 0.05) == 0.0
 
+    @pytest.mark.parametrize("T", [1e-310, 5e-324])
+    def test_temperature_whose_k_b_t_underflows(self, T):
+        # k_B*T is 0.0 in double precision: no division by zero
+        assert k_B * T == 0.0
+        assert spectra.bose_occupation(TWO_PI * 6.07e9, T) == 0.0
+
 
 class TestThermalPsd:
     def test_vacuum_limit(self):
