@@ -148,13 +148,21 @@ def cmd_rates(args, run, out):
     return ["rates.json"]
 
 
+def _temperatures(args) -> np.ndarray:
+    """--points temperatures from --t-min to --t-max, whose ends must lie
+    within a quarter of the largest float: np.linspace overflows beyond."""
+    if not max(abs(args.t_min), abs(args.t_max)) <= sys.float_info.max / 4:
+        raise ValidationError(f"temperature range {args.t_min!r} to {args.t_max!r} K too wide")
+    return np.linspace(args.t_min, args.t_max, args.points)
+
+
 def cmd_stark_sweep(args, run, out):
     alpha = args.alpha if args.alpha is not None else \
         run.port("readout").attenuation
     circuit = run.circuit
     kappas = (circuit.kappa_x, circuit.kappa_a, circuit.kappa_tot)
     points = []
-    for temp in np.linspace(args.t_min, args.t_max, args.points):
+    for temp in _temperatures(args):
         n_x = spectra.bose_occupation(circuit.omega_r, float(temp))
         shift = ac_stark_shift(n_x, 0.0, circuit.chi, kappas, alpha)
         points.append(StarkSweepPoint(float(temp), float(shift)))
@@ -194,7 +202,7 @@ def cmd_gamma1_sweep(args, run, out):
 
 
 def cmd_dephasing_sweep(args, run, out):
-    temps = np.linspace(args.t_min, args.t_max, args.points).tolist()
+    temps = _temperatures(args).tolist()
     rates = [decoherence.dephasing_second_order(t, run.geometry) for t in temps]
     io.DEPHASING_SWEEP.write(out / "dephasing_sweep.csv", (temps, rates))
     return ["dephasing_sweep.csv"]

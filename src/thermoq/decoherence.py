@@ -214,9 +214,9 @@ def dephasing_second_order_transfer(T_a: float, geometry: CouplingGeometry,
                                     omega_q0: float) -> float:
     """Second-order dephasing via the transfer-function composition
     alpha^(2) * r * 2 pi k_B T_a / hbar; agrees with the direct closed
-    form to better than 1e-12 relative."""
-    if T_a < 0:
-        raise DomainError("temperature must be >= 0")
+    form to better than 1e-12 relative, and raises its DomainError
+    wherever it does."""
+    dephasing_second_order(T_a, geometry)  # one domain for both routes
     alpha2 = second_order_dissipation_param(geometry, omega_q0)
     r = suppression_factor(T_a, omega_q0)
     return alpha2 * r * TWO_PI * k_B * T_a / hbar

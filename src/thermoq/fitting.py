@@ -14,14 +14,13 @@ test cannot pass, and a row whose damping passes 1e30 counts as
 collapsed instead.  A row stops after 200 trial steps either way.
 Rows stop independently, a row whose fit cannot be formed is flagged
 instead of raised, and no row's arithmetic depends on the others, so a
-row fitted in a batch equals the same fit alone, bit for bit.  Two Jacobian providers feed the loop: analytic
-sums for offset + amplitude*exp(-rate*t) (``fit_decays``), and forward
-differences of step max(1e-8, 1e-8*|q|) for any row model, with box
-bounds carried by a logistic transform (``fit_rows``, and
-``least_squares``, its batch of one).
+row fitted in a batch equals the same fit alone, bit for bit.  Two
+Jacobian providers feed the loop: analytic sums for
+offset + amplitude*exp(-rate*t) (``fit_decays``), and forward
+differences of step max(1e-8, 1e-8*|q|) for any unconstrained row model
+(``fit_rows``, and ``least_squares``, its batch of one).
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,42 +211,11 @@ def _levenberg_marquardt(provider, q, names) -> Fits:
                 formed=np.equal(errors, None), errors=tuple(errors))
 
 
-def _logistic(q: float) -> float:
-    """Overflow-safe logistic: evaluates the saturating branch directly."""
-    if q >= 0:
-        return 1.0 / (1.0 + math.exp(-min(q, 700.0)))
-    eq = math.exp(max(q, -700.0))
-    return eq / (1.0 + eq)
-
-
-def _unboxed(p, boxes):
-    """Internal coordinates q of parameters p; in each box column (i, lo,
-    hi), p = lo + (hi - lo) * logistic(q)."""
-    q = p.copy()
-    for i, lo, hi in boxes:
-        frac = np.clip((p[:, i] - lo) / (hi - lo), 1e-10, 1 - 1e-10)
-        q[:, i] = np.log(frac / (1.0 - frac))
-    return q
-
-
-def _boxed(q, boxes):
-    """Parameters p at internal coordinates q, and dp/dq column by column."""
-    p, slope = q.copy(), np.ones(q.shape)
-    for i, lo, hi in boxes:
-        # math.exp element by element: np.exp differs from it in the last
-        # bit on some inputs, and the fits keep accepting one-ulp gains
-        s = np.array([_logistic(v) for v in q[:, i].tolist()], dtype=float)
-        p[:, i] = lo + (hi - lo) * s
-        slope[:, i] = (hi - lo) * s * (1.0 - s)
-    return p, slope
-
-
+@dataclass(frozen=True)
 class _ForwardDifferences:
-    """A row model in box-transformed internal coordinates, with
-    forward-difference Jacobians, all rows at once."""
+    """A row model with forward-difference Jacobians, all rows at once."""
 
-    def __init__(self, model, boxes):
-        self.model, self.boxes = model, boxes
+    model: object
 
     @staticmethod
     def norm(x):
@@ -260,7 +228,7 @@ class _ForwardDifferences:
         return np.array([v**2 / dof for v in norm.tolist()])
 
     def residuals(self, q, rows):
-        return np.asarray(self.model(_boxed(q, self.boxes)[0], rows), dtype=float)
+        return np.asarray(self.model(q, rows), dtype=float)
 
     def normal_equations(self, q, rows):
         residual = self.residuals(q, rows)
@@ -274,44 +242,32 @@ class _ForwardDifferences:
         return jac_t @ jac, (jac_t @ residual[:, :, None])[:, :, 0]
 
 
-def fit_rows(model, initial, *, names=None, bounds=None) -> Fits:
+def fit_rows(model, initial, *, names=None) -> Fits:
     """Minimize the sum of squared residuals of every row of a batch.
 
     ``initial`` holds the (n, k) starting parameter rows.  ``model(p,
     rows)`` must return the (r, m) residual rows for the parameter rows
     ``p`` (r, k) of batch rows ``rows``, indices into ``initial`` that
-    shrink as rows stop.  ``names`` optionally labels the parameters;
-    ``bounds`` is an optional per-parameter list of (lo, hi) or None.
+    shrink as rows stop.  ``names`` optionally labels the parameters.
     """
-    p0 = np.array(np.atleast_2d(initial), dtype=float)
-    k = p0.shape[1]
-    names = tuple(f"p{i}" for i in range(k)) if names is None else tuple(names)
-    bounds = [None] * k if bounds is None else list(bounds)
-    if len(bounds) != k:
-        raise ValueError("bounds must have one entry per parameter")
-    boxes = [(i, b[0], b[1]) for i, b in enumerate(bounds) if b is not None]
-    fits = _levenberg_marquardt(_ForwardDifferences(model, boxes), _unboxed(p0, boxes),
-                                names)
-    p, slope = _boxed(fits.parameters, boxes)
-    # covariances map back by the delta method
-    return replace(fits, parameters=p,
-                   covariance=fits.covariance * (slope[:, :, None] * slope[:, None, :]))
+    q = np.array(np.atleast_2d(initial), dtype=float)
+    names = tuple(f"p{i}" for i in range(q.shape[1])) if names is None else tuple(names)
+    return _levenberg_marquardt(_ForwardDifferences(model), q, names)
 
 
-def least_squares(model, initial, *, names=None, bounds=None) -> FitResult:
+def least_squares(model, initial, *, names=None) -> FitResult:
     """Minimize the sum of squared residuals of ``model``.
 
     ``model(p)`` must return the residual vector.  ``initial`` is the
     starting parameter vector; ``names`` optionally labels the
-    parameters; ``bounds`` is an optional per-parameter list of (lo, hi)
-    or None.
+    parameters.
 
     Raises RankDeficiencyError when the normal equations are singular
     and ModelDomainError when the model returns non-finite residuals at
     the starting point.
     """
     fits = fit_rows(lambda p, rows: np.atleast_1d(model(p[0]))[None], initial,
-                    names=names, bounds=bounds)
+                    names=names)
     if not fits.formed[0]:
         raise fits.errors[0]
     return fits.result(0)

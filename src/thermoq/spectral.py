@@ -11,8 +11,9 @@ A single log-binned periodogram is used rather than segment averaging:
 records of ~1200 points barely cover three decades, and segmenting
 would destroy the lowest decade where the spectral exponent lives.  The
 knee fit maximizes the Whittle likelihood of the bin means, weighting
-each bin by its raw-point count, and one likelihood-ratio test against
-a white spectrum decides whether the record is colored at all.
+each bin by its raw-point count, by profiling it over a grid of
+exponents, and one likelihood-ratio test against a white spectrum
+decides whether the record is colored at all.
 """
 
 import math
@@ -65,7 +66,8 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SpectrumFit:
-    """Result of the knee fit S(omega) = amplitude * omega^-beta + mu.
+    """Result of the knee fit S(omega) = amplitude * omega^-beta + mu,
+    fitted over amplitude >= 0, mu >= 0 and beta in [0, 4].
 
     omega_c is the crossover amplitude*omega_c^-beta = mu, clamped into
     fit_window.  When ``degenerate`` is set the spectrum is consistent
@@ -73,9 +75,9 @@ class SpectrumFit:
     are NaN.  The opposite boundary — a record falling as a power law
     through the whole window with no resolvable floor — reports mu = 0
     with mu_err holding the detection bound (the smallest binned level)
-    and omega_c pinned at the top window edge.  lr_statistic is the
-    likelihood ratio of the knee model against a white spectrum that
-    made the call: colored above ``LR_THRESHOLD``.
+    and omega_c pinned at the top window edge.  lr_statistic, the
+    likelihood ratio D_white - D_min >= 0 of the knee model against a
+    white spectrum, made the call: colored above ``LR_THRESHOLD``.
     """
 
     beta: float
@@ -170,7 +172,10 @@ def _degenerate_fit(spectrum: Spectrum, window, lr_statistic: float) -> Spectrum
                        lr_statistic=lr_statistic, degenerate=True)
 
 
-_BETA_BOX = (0.0, 4.0)
+# beta grid: 41 points over the box [0, 4], then three zooms onto the two
+# spacings about the best point, down to a spacing of 1.25e-5; 15
+# scoring steps from a cold start settle D(beta) to about 1e-10
+_BETA_BOX, _GRID_POINTS, _ZOOMS, _SCORING_STEPS = (0.0, 4.0), 41, 3, 15
 # 99 % point of chi-squared with 2 degrees of freedom.  Under the white
 # null the amplitude sits on its zero boundary and beta is unidentified,
 # which makes the chi-squared(2) threshold conservative (Self & Liang
@@ -178,40 +183,38 @@ _BETA_BOX = (0.0, 4.0)
 LR_THRESHOLD = 9.21
 
 
-def _deviance_residuals(ln_data, counts, ln_model):
-    """Signed Gamma-deviance residuals of m-point bin means about a model.
-
-    Their sum of squares is twice the Whittle negative log-likelihood
-    sum m*(ln S + P/S) above its saturated value.
-    """
-    u = ln_data - ln_model
-    return np.sign(u) * np.sqrt(2 * counts * (np.expm1(u) - u))
+def _deviance(ln_values, counts, ln_model):
+    """Whittle deviance sum 2m(P/S - ln(P/S) - 1), last axis, from ln P, ln S."""
+    u = ln_values - ln_model
+    return 2 * np.sum(counts * (np.expm1(u) - u), axis=-1)
 
 
-def _ln_knee(p, log_omega):
-    """ln(A*omega^-beta + mu) for rows of (ln_amplitude, beta, ln_mu)."""
-    return np.logaddexp(p[:, 0:1] - p[:, 1:2] * log_omega, p[:, 2:3])
-
-
-def _ln_power_law(p, log_omega):
-    """ln(A*omega^-beta) for rows of (ln_amplitude, beta)."""
-    return p[:, 0:1] - p[:, 1:2] * log_omega
-
-
-def _likelihood_fit(ln_model, starts, bounds, ln_data, log_omega, counts
-                    ) -> fitting.FitResult:
-    """Maximum-likelihood fit of ``ln_model`` from several starts at once.
-
-    The starts are fitted as one batch; the best is the formed one with
-    the smallest deviance, the first on ties.
-    """
-    fits = fitting.fit_rows(
-        lambda p, rows: _deviance_residuals(ln_data, counts, ln_model(p, log_omega)),
-        starts, names=("ln_amplitude", "beta", "ln_mu")[:len(bounds)], bounds=bounds)
-    formed = np.flatnonzero(fits.formed)
-    if formed.size == 0:
-        raise FitError("knee model fit failed from every initialization")
-    return fits.result(formed[np.argmin(fits.residual_norm[formed])])
+def _profile(betas, values, log_omega, counts, d_white):
+    """Deviance, a and mu of the Whittle fit of a*x + mu over a, mu >= 0,
+    x = (omega/omega_top)^-beta, at every beta at once.  It is a Gamma GLM
+    with identity link: a Fisher-scoring step is a 2x2 least-squares solve
+    with weights m/S^2 (McCullagh & Nelder 1989, ch. 8), projected onto the
+    box, and the faces a = 0 (the white level, deviance ``d_white``) and
+    mu = 0 (a = sum(m*P/x) / sum(m)) compete in closed form."""
+    x = np.exp(-betas[:, None] * (log_omega - log_omega[-1]))
+    white = counts @ values / counts.sum()
+    floorless = (counts * values / x).sum(axis=1) / counts.sum()
+    a, mu = floorless / 2, np.full(betas.size, white / 2)
+    for _ in range(_SCORING_STEPS):
+        w = counts / (a[:, None] * x + mu[:, None]) ** 2
+        wx = w * x
+        sxx, sx, s1 = np.einsum("ij,ij->i", wx, x), wx.sum(axis=1), w.sum(axis=1)
+        txp, tp = wx @ values, w @ values
+        det = sxx * s1 - sx**2
+        a = np.maximum((s1 * txp - sx * tp) / det, 0.0)
+        mu = np.maximum((sxx * tp - sx * txp) / det, 0.0)
+    zeros = np.zeros(betas.size)
+    a, mu = np.stack([zeros, floorless, a]), np.stack([zeros + white, zeros, mu])
+    ln_models = np.log(a[1:, :, None] * x + mu[1:, :, None])
+    dev = np.vstack([zeros + d_white, _deviance(np.log(values), counts, ln_models)])
+    # the white level is never NaN; a singular scoring row is no candidate
+    best, rows = np.nanargmin(dev, axis=0), np.arange(betas.size)
+    return dev[best, rows], a[best, rows], mu[best, rows]
 
 
 def _fisher_covariance(grad, counts) -> np.ndarray:
@@ -229,16 +232,14 @@ def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
 
     An m-point bin mean of a periodogram is distributed as
     S * Gamma(m, 1/m), so the fit minimizes the Whittle deviance
-    (Whittle 1953; Vaughan 2010, MNRAS 402, 307) from four starts, and
-    the parameter errors come from the Fisher information at the
-    optimum.  The spectrum is called colored only when the likelihood
-    ratio against a white spectrum at the count-weighted mean level,
-    LR = D_white - D_fit, exceeds ``LR_THRESHOLD`` with beta > 0;
-    otherwise the result is degenerate, with the mean level in mu and
-    beta and omega_c set to NaN.  When no start of the three-parameter
-    model can be formed, the record falls as a power law through the
-    whole window and the floorless model A * omega^-beta is fitted
-    instead.  Either way ``lr_statistic`` records the decision.
+    (Whittle 1953; Vaughan 2010, MNRAS 402, 307) over A >= 0, mu >= 0
+    and beta in [0, 4]: its profile D(beta) comes from one array
+    iteration over a beta grid that zooms onto the minimum, and a
+    parabola through the best three points places beta between them.
+    The errors come from the Fisher information.  The record is colored
+    only when LR = D_white - D_min >= 0 against a white spectrum at the
+    count-weighted mean level exceeds ``LR_THRESHOLD`` with beta > 0;
+    otherwise the result is degenerate (mean level in mu, NaN beta).
     """
     if spectrum.omegas.size < 6:
         raise DomainError("knee fit needs at least 6 spectral points")
@@ -249,67 +250,52 @@ def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
         return _degenerate_fit(spectrum, window, 0.0)
 
     keep = spectrum.values > 0
-    omegas, values = spectrum.omegas[keep], spectrum.values[keep]
-    counts = spectrum.bin_counts[keep]
-    ln_data, log_omega = np.log(values), np.log(omegas)
-    ln_white = math.log(float(np.sum(counts * values) / np.sum(counts)))
-    d_white = float(np.sum(_deviance_residuals(ln_data, counts, ln_white) ** 2))
-
-    mu0 = float(np.median(values[omegas >= omegas[-1] / 10.0]))
-    ln_a0 = math.log(max(values[0] - mu0, 0.01 * mu0) * omegas[0])
-    floorless = False
-    try:
-        # A single start now and then settles where the colored
-        # amplitude collapses although a real omega^-beta component is
-        # present; amplitude-heavy and shallow-exponent starts recover
-        # it.  beta is boxed to [0, 4] so single noisy low-frequency
-        # bins cannot drive the exponent to arbitrarily steep values.
-        result = _likelihood_fit(
-            _ln_knee, [[ln_a0 + math.log(a_factor), beta0, math.log(mu0)]
-                       for a_factor, beta0 in
-                       ((1.0, 1.0), (100.0, 1.0), (0.01, 1.0), (1.0, 0.5))],
-            [None, _BETA_BOX, None], ln_data, log_omega, counts)
-    except FitError:
-        # Two boundaries leave no three-parameter start formed: records
-        # falling as a power law through the whole window have their
-        # optimum at mu = 0, where ln_mu runs away, and white records at
-        # A = 0.  The power law alone has an interior optimum in both
-        # cases, so its beta is left free; a white record fits beta <= 0.
-        floorless = True
-        result = _likelihood_fit(_ln_power_law, [[ln_a0, 1.0]], [None, None],
-                                 ln_data, log_omega, counts)
-    # the white level lies in both models, so a fit that stops above its
-    # deviance has not reached the maximum likelihood: LR is never < 0
-    lr = d_white - min(result.residual_norm ** 2, d_white)
-    p = result.parameters
-    ln_a, beta, ln_mu = p["ln_amplitude"], p["beta"], p.get("ln_mu", -math.inf)
+    values, counts = spectrum.values[keep], spectrum.bin_counts[keep]
+    log_omega = np.log(spectrum.omegas[keep])
+    d_white = float(_deviance(np.log(values), counts,
+                              math.log(counts @ values / counts.sum())))
+    betas = np.linspace(*_BETA_BOX, _GRID_POINTS)
+    with np.errstate(all="ignore"):
+        for zoom in range(_ZOOMS + 1):
+            if zoom:
+                betas = np.linspace(*betas[np.clip([i - 1, i + 1], 0, betas.size - 1)], _GRID_POINTS)
+            dev, a, mu = _profile(betas, values, log_omega, counts, d_white)
+            i = int(np.argmin(dev))
+        beta, d_min, a, mu = float(betas[i]), float(dev[i]), float(a[i]), float(mu[i])
+        # the parabola's vertex is kept where it lowers the deviance, which
+        # it need not at an edge of the box or where D(beta) has a kink
+        if 0 < i < betas.size - 1 and (curvature := dev[i - 1] - 2 * dev[i] + dev[i + 1]) > 0:
+            vertex = beta + (betas[1] - betas[0]) * (dev[i - 1] - dev[i + 1]) / (2 * curvature)
+            fit = [float(v[0]) for v in _profile(np.array([vertex]), values, log_omega,
+                                                 counts, d_white)]
+            if fit[0] < d_min:
+                beta, (d_min, a, mu) = float(vertex), fit
+    lr = d_white - d_min
     if not (lr > LR_THRESHOLD and beta > 0):
         return _degenerate_fit(spectrum, window, lr)
 
+    ln_a = math.log(a) + beta * log_omega[-1]  # a is fitted against omega/omega_top
     # gradient of ln S in (ln_amplitude, beta, ln_mu), from the colored
-    # share of each bin's level (1 when floorless)
-    ln_colored = ln_a - beta * log_omega
-    colored = np.exp(ln_colored - np.logaddexp(ln_colored, ln_mu))
+    # share of each bin's level (1 on the mu = 0 face)
+    colored = a / (a + mu * np.exp(beta * (log_omega - log_omega[-1])))
     grad = np.stack([colored, -colored * log_omega, 1.0 - colored], axis=1)
-    cov = _fisher_covariance(grad[:, :len(p)], counts)
+    cov = _fisher_covariance(grad[:, :3 if mu else 2], counts)
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
     amplitude = math.exp(ln_a)
-    if floorless:
-        # No white floor resolved inside the window: mu sits on its
-        # zero boundary, its error bar is the smallest binned level
-        # (detection bound), and the crossover lies beyond the window.
-        mu, mu_err = 0.0, float(values.min())
+    if not mu:
+        # No white floor resolved inside the window: its error bar is the
+        # smallest binned level (detection bound), the crossover lies beyond.
+        mu_err = float(values.min())
         omega_c, omega_c_err = window[1], float("nan")
     else:
-        mu = math.exp(ln_mu)
         mu_err = mu * err[2]
-        ln_omega_c = (ln_a - ln_mu) / beta
+        ln_omega_c = (ln_a - math.log(mu)) / beta
         grad_c = np.array([1.0, -ln_omega_c, -1.0]) / beta
         omega_c = math.exp(ln_omega_c)
         omega_c_err = omega_c * math.sqrt(max(float(grad_c @ cov @ grad_c), 0.0))
         omega_c = min(max(omega_c, window[0]), window[1])
     return SpectrumFit(
-        beta=float(beta), omega_c=float(omega_c), mu=float(mu),
+        beta=beta, omega_c=float(omega_c), mu=mu,
         amplitude=float(amplitude), beta_err=float(err[1]),
         omega_c_err=float(omega_c_err), mu_err=float(mu_err),
         amplitude_err=float(amplitude * err[0]), fit_window=window,

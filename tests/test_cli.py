@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermoq
@@ -645,6 +645,9 @@ class TestFloatBoundaryFuzz:
 
     @settings(max_examples=60, deadline=None)
     @given(run=float_boundary_runs())
+    # ranges np.linspace cannot span: once an overflow warning, then exit 2
+    @example(run=(["dephasing-sweep", "--t-max=1.7976931348623157e+308"], None))
+    @example(run=(["stark-sweep", "--t-min=-1e308", "--t-max=1e308"], None))
     def test_exit_code_and_outputs(self, stark_sweep_csv, run):
         argv, temperatures = run
         with tempfile.TemporaryDirectory() as work:

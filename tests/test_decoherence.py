@@ -267,6 +267,16 @@ class TestDephasingSecondOrder:
         with pytest.raises(DomainError, match=re.escape(f"at temperature {T} K")):
             decoherence.dephasing_second_order(T, make_geometry())
 
+    @pytest.mark.parametrize("T", [1e100, 1e200, math.nan])
+    def test_routes_share_their_domain(self, T):
+        # the composed route once returned 1.3e304 at 1e100 K and raised a
+        # bare OverflowError at 1e200 K
+        geom = make_geometry()
+        for route in (lambda: decoherence.dephasing_second_order(T, geom),
+                      lambda: decoherence.dephasing_second_order_transfer(T, geom, OMEGA_Q0)):
+            with pytest.raises(DomainError, match=re.escape(f"at temperature {T} K")):
+                route()
+
     def test_transfer_route_agrees(self):
         geom = make_geometry()
         for T in np.linspace(0.05, 1.5, 20):

@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from thermoq import fitting, spectral, tlssim
+from thermoq import spectral, tlssim
 from thermoq.constants import TWO_PI, hbar
-from thermoq.errors import DomainError, FitError
+from thermoq.errors import DomainError
 from thermoq.tlssim import TimeSeries
 
 MEAN = TWO_PI * 3.9e6  # typical relaxation-rate level, rad/s
@@ -227,54 +227,52 @@ def phenomenological_spectrum(knee_hz, seed):
     return spectral.psd_estimate(ts)
 
 
-def knee_inputs(spectrum):
-    """Log-data, log-omega, counts and the four starts of the knee fit,
-    as it forms them from a binned spectrum."""
+def whittle_deviance(spectrum):
+    """The knee model's Whittle deviance over (ln A, beta, ln mu), and
+    the four starts an earlier multi-start fit took from the spectrum."""
     keep = spectrum.values > 0
     omegas, values = spectrum.omegas[keep], spectrum.values[keep]
     counts = spectrum.bin_counts[keep]
+    ln_data, log_omega = np.log(values), np.log(omegas)
+
+    def deviance(p):
+        ln_a, beta, ln_mu = p
+        u = ln_data - np.logaddexp(ln_a - beta * log_omega, ln_mu)
+        return float(np.sum(2 * counts * (np.expm1(u) - u)))
+
     mu0 = float(np.median(values[omegas >= omegas[-1] / 10.0]))
     ln_a0 = math.log(max(values[0] - mu0, 0.01 * mu0) * omegas[0])
     starts = [[ln_a0 + math.log(a_factor), beta0, math.log(mu0)]
               for a_factor, beta0 in ((1.0, 1.0), (100.0, 1.0), (0.01, 1.0), (1.0, 0.5))]
-    return np.log(values), np.log(omegas), counts, starts
+    return deviance, starts
 
 
-def serial_knee_model_fit(ln_data, log_omega, counts, starts):
-    """The knee model's likelihood fit one start at a time: skip failed
-    starts, keep the first one with the smallest deviance."""
-    def residuals(p):
-        ln_a, beta, ln_mu = p
-        u = ln_data - np.logaddexp(ln_a - beta * log_omega, ln_mu)
-        return np.sign(u) * np.sqrt(2 * counts * (np.expm1(u) - u))
-
-    best = None
-    for p0 in starts:
-        try:
-            result = fitting.least_squares(
-                residuals, list(p0), names=("ln_amplitude", "beta", "ln_mu"),
-                bounds=[None, (0.0, 4.0), None])
-        except FitError:
-            continue
-        if best is None or result.residual_norm < best.residual_norm:
-            best = result
-    if best is None:
-        raise FitError("knee model fit failed from every initialization")
-    return best
-
-
-class TestBatchedKneeFit:
+class TestProfileKneeFit:
     @pytest.mark.parametrize("seed", [0, 2, 3, 4, 5, 6, 7])
-    def test_multi_start_batch_picks_the_serial_choice(self, seed):
-        ln_data, log_omega, counts, starts = knee_inputs(
-            phenomenological_spectrum(1e-3, seed))
-        batched = spectral._likelihood_fit(spectral._ln_knee, starts,
-                                           [None, spectral._BETA_BOX, None],
-                                           ln_data, log_omega, counts)
-        serial = serial_knee_model_fit(ln_data, log_omega, counts, starts)
-        assert batched.parameters == serial.parameters
-        assert batched.covariance.tobytes() == serial.covariance.tobytes()
-        assert batched.n_iterations == serial.n_iterations
+    def test_no_start_finds_a_lower_deviance(self, seed):
+        # a general-purpose optimizer on the same likelihood and box, from
+        # the fitted point and from four spread starts, gains nothing
+        optimize = pytest.importorskip("scipy.optimize")
+        spectrum = phenomenological_spectrum(1e-3, seed)
+        fit = spectral.fit_knee_spectrum(spectrum)
+        assert not fit.degenerate and fit.mu > 0
+        deviance, starts = whittle_deviance(spectrum)
+        fitted = [math.log(fit.amplitude), fit.beta, math.log(fit.mu)]
+        d_fit = deviance(fitted)
+        for start in [fitted, *starts]:
+            found = optimize.minimize(deviance, start, method="L-BFGS-B",
+                                      bounds=[(None, None), (0.0, 4.0), (None, None)])
+            assert found.fun >= d_fit - 1e-8
+
+    def test_floorless_steeper_than_box(self):
+        # both branches share the [0, 4] box: a power law steeper than
+        # omega^-4 with no floor fits at the box edge
+        spec = power_law_spectrum(3e-40, 5.0, 0.0)
+        fit = spectral.fit_knee_spectrum(spec)
+        assert not fit.degenerate
+        assert fit.beta == 4.0
+        assert fit.mu == 0.0
+        assert fit.lr_statistic > spectral.LR_THRESHOLD
 
 
 class TestWhittleMonteCarlo:
@@ -313,8 +311,9 @@ class TestWhittleMonteCarlo:
 
     @pytest.mark.parametrize("record", [160, 190])
     def test_white_record_lr_is_not_negative(self, record):
-        # the fit stops short of the white level on these two records, whose
-        # deviance it would otherwise exceed
+        # two white records whose earlier multi-start fit stopped above the
+        # white level's deviance; D_white is a candidate at every beta, so
+        # D_min <= D_white and LR >= 0 by construction
         child = np.random.SeedSequence(2028).spawn(200)[record]
         rng = np.random.Generator(np.random.PCG64(child))
         ts = TimeSeries(0.0, 10.0, MEAN + TWO_PI * 215e3 * rng.standard_normal(1200))
