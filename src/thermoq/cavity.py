@@ -13,12 +13,13 @@ for off-resonance spectral shaping.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fitting, spectra
-from .errors import DomainError, IllConditionedError, InconsistencyError, SingularityError
+from .errors import (DomainError, IllConditionedError, InconsistencyError, ModelDomainError,
+                     SingularityError)
 
 PORT_LABELS = ("internal", "readout", "antenna")
 
@@ -171,13 +172,14 @@ def ac_stark_shift(n_x: float, n_a: float, chi: float, kappas, alpha: float) -> 
 
 def calibrate_attenuation(sweep, port: str, params: CircuitParams,
                           alpha: float | None = None) -> fitting.FitResult:
-    """Fit the line attenuation (readout port) or kappa_a (antenna port).
+    """Fit the line attenuation (readout port) or kappa_a (antenna port)
+    by linear least squares in closed form (``fitting.linear_fit``).
 
-    For ``port='readout'`` the attenuation alpha is fitted with kappa_x
-    known; for ``port='antenna'`` kappa_a is fitted and the previously
-    calibrated ``alpha`` must be supplied.  The constant reference
-    offset of the shift is absorbed into a free intercept.  Returns the
-    estimate with its 1-sigma uncertainty and residual norm.
+    The readout shift is alpha * 2 chi kappa_x n_th / kappa_tot plus a free
+    intercept, the reference offset.  The antenna shift is s n_th plus the
+    intercept, with the calibrated ``alpha`` supplied: the share u =
+    s / (2 chi alpha) gives kappa_a = (kappa_i + kappa_x) u / (1 - u) and
+    its errors by the delta method, and u >= 1 raises ModelDomainError.
     """
     points = list(sweep)
     if len(points) < 4:
@@ -192,25 +194,21 @@ def calibrate_attenuation(sweep, port: str, params: CircuitParams,
 
     chi = params.chi
     if port == "readout":
-        kappa_tot = params.kappa_tot
-
-        def residual(p):
-            a, c = p
-            return shifts - (2 * chi * a * params.kappa_x * n_th / kappa_tot + c)
-
-        return fitting.least_squares(
-            residual, [1.0, shifts[0]], names=("alpha", "intercept")
-        )
-    if port == "antenna":
-        if alpha is None:
-            raise DomainError("antenna calibration requires the calibrated alpha")
-
-        def residual(p):
-            ka, c = p
-            kappa_tot = params.kappa_i + params.kappa_x + ka
-            return shifts - (2 * chi * alpha * ka * n_th / kappa_tot + c)
-
-        return fitting.least_squares(
-            residual, [params.kappa_a, shifts[0]], names=("kappa_a", "intercept")
-        )
-    raise DomainError(f"unknown calibration port {port!r}")
+        fit = fitting.linear_fit(2 * chi * params.kappa_x * n_th / params.kappa_tot, shifts)
+        values, cov, names = list(fit.parameters.values()), fit.covariance, ("alpha", "intercept")
+    elif port == "antenna":
+        if alpha is None or not 0 < alpha <= 1:
+            raise DomainError("antenna calibration requires the calibrated alpha in (0, 1]")
+        fit = fitting.linear_fit(n_th, shifts)
+        slope, intercept = fit.parameters.values()
+        if not (share := slope / (2 * chi * alpha)) < 1:
+            raise ModelDomainError(f"antenna slope gives kappa_a/kappa_tot = {share:.6g} >= 1: "
+                                   "no finite kappa_a")
+        kappa_ix = params.kappa_i + params.kappa_x
+        # d kappa_a / d slope, divided in turn so that no square overflows
+        grad = np.diag([kappa_ix / (1 - share) / (1 - share) / (2 * chi * alpha), 1.0])
+        values = [kappa_ix * share / (1 - share), intercept]
+        cov, names = grad @ fit.covariance @ grad, ("kappa_a", "intercept")
+    else:
+        raise DomainError(f"unknown calibration port {port!r}")
+    return replace(fit, parameters=dict(zip(names, values)), covariance=cov, param_names=names)

@@ -31,7 +31,7 @@ from . import __version__, decoherence, io, spectra
 from .cavity import StarkSweepPoint, ac_stark_shift, calibrate_attenuation
 from .config import RunConfig, load_config
 from .constants import TWO_PI
-from .errors import ConfigError, FitError, ValidationError
+from .errors import ConfigError, DomainError, FitError, ValidationError
 from .experiments import simulate_campaign
 from .spectral import (fit_knee_spectrum, fit_white_floor_vs_temp,
                        psd_estimate)
@@ -196,6 +196,8 @@ def cmd_gamma1_sweep(args, run, out):
     dispersive = [decoherence.gamma1_dispersive_model(
         n, n, rates, circuit.gamma1_0) for n in photons]
     resonant = [decoherence.delta_gamma1_res(n, rates) for n in photons]
+    if not np.isfinite([antenna, dispersive, resonant]).all():
+        raise DomainError(f"--n-max {args.n_max!r} too large: the relaxation rates overflow")
     io.GAMMA1_SWEEP.write(out / "gamma1_sweep.csv",
                           (photons, antenna, dispersive, resonant))
     return ["gamma1_sweep.csv"]

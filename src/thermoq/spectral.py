@@ -2,18 +2,17 @@
 
 ``periodogram`` turns a uniformly sampled gamma1(t) record into a
 one-sided spectral density with an unambiguous absolute normalization
-(carried as text inside every Spectrum); ``psd_estimate`` log-bins it
-for fitting.  Two model fits operate on such spectra: an
-omega^-beta branch crossing into a white floor at a knee frequency, and
-the floor-versus-temperature power law mu0 + a*T^(2+x).
-
-A single log-binned periodogram is used rather than segment averaging:
+(carried as text inside every Spectrum); ``psd_estimate`` log-bins it.
+One log-binned periodogram is used rather than segment averaging:
 records of ~1200 points barely cover three decades, and segmenting
-would destroy the lowest decade where the spectral exponent lives.  The
-knee fit maximizes the Whittle likelihood of the bin means, weighting
-each bin by its raw-point count, by profiling it over a grid of
-exponents, and one likelihood-ratio test against a white spectrum
-decides whether the record is colored at all.
+would destroy the lowest decade where the spectral exponent lives.
+
+Two fits, each linear in every parameter but one exponent, profile that
+exponent with one grid minimizer: the Whittle likelihood of an omega^-beta
+branch crossing into a white floor at a knee frequency, where one
+likelihood-ratio test against a white spectrum decides whether the
+record is colored at all, and least squares of the floor-versus-
+temperature power law mu0 + a*T^(2+x).
 """
 
 import math
@@ -21,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fitting
 from .constants import TWO_PI, hbar
-from .errors import DomainError, FitError
+from .errors import DomainError
 from .tlssim import TimeSeries
 
 CONVENTION_NOTE = (
@@ -95,11 +93,9 @@ class SpectrumFit:
 
 @dataclass(frozen=True)
 class FloorScalingFit:
-    """Result of fitting mu(T) = mu0 + a * T^(2+x).
-
-    x_unidentifiable is set when a is statistically consistent with
-    zero at 2 sigma (then x carries no information).
-    """
+    """Result of fitting mu(T) = mu0 + a * T^(2+x).  x_unidentifiable is set
+    when a is consistent with zero at 2 sigma (then x carries no information)
+    or the fit fell back to the mean level."""
 
     mu0: float
     a: float
@@ -147,18 +143,12 @@ def psd_estimate(series: TimeSeries, bins_per_decade: int = 16) -> Spectrum:
     decades = math.log10(hi / lo)
     n_bins = max(1, math.ceil(bins_per_decade * decades))
     edges = np.geomspace(lo * (1 - 1e-12), hi * (1 + 1e-12), n_bins + 1)
-    idx = np.clip(np.searchsorted(edges, raw.omegas, side="right") - 1, 0, n_bins - 1)
-    omegas, values, counts = [], [], []
-    for b in range(n_bins):
-        members = idx == b
-        m = int(np.count_nonzero(members))
-        if m == 0:
-            continue
-        omegas.append(np.exp(np.mean(np.log(raw.omegas[members]))))
-        values.append(np.mean(raw.values[members]))
-        counts.append(m)
-    return Spectrum(omegas=np.array(omegas), values=np.array(values),
-                    bin_counts=np.array(counts, dtype=int))
+    # the raw axis ascends, so each bin is one run of it; empty bins drop
+    cuts = np.searchsorted(raw.omegas, edges[1:-1])
+    bins = [b for b in zip(np.split(raw.omegas, cuts), np.split(raw.values, cuts)) if b[0].size]
+    return Spectrum(omegas=np.array([np.exp(np.mean(np.log(w))) for w, _ in bins]),
+                    values=np.array([np.mean(v) for _, v in bins]),
+                    bin_counts=np.array([w.size for w, _ in bins]))
 
 
 def _degenerate_fit(spectrum: Spectrum, window, lr_statistic: float) -> SpectrumFit:
@@ -172,15 +162,36 @@ def _degenerate_fit(spectrum: Spectrum, window, lr_statistic: float) -> Spectrum
                        lr_statistic=lr_statistic, degenerate=True)
 
 
-# beta grid: 41 points over the box [0, 4], then three zooms onto the two
-# spacings about the best point, down to a spacing of 1.25e-5; 15
-# scoring steps from a cold start settle D(beta) to about 1e-10
-_BETA_BOX, _GRID_POINTS, _ZOOMS, _SCORING_STEPS = (0.0, 4.0), 41, 3, 15
+# profile grid: 41 points, then three zooms onto the two spacings about the
+# best point (a beta spacing of 1.25e-5 on [0, 4]); 15 scoring steps from a
+# cold start settle the knee fit's D(beta) to about 1e-10
+_GRID_POINTS, _ZOOMS, _BETA_BOX, _SCORING_STEPS = 41, 3, (0.0, 4.0), 15
 # 99 % point of chi-squared with 2 degrees of freedom.  Under the white
 # null the amplitude sits on its zero boundary and beta is unidentified,
 # which makes the chi-squared(2) threshold conservative (Self & Liang
 # 1987, JASA 82, 605).
 LR_THRESHOLD = 9.21
+
+
+def _grid_minimum(profile, box):
+    """[x, objective, *rest] at the minimum over ``box`` of ``profile(xs)``,
+    the objective (NaN counts as +inf) and the other fitted arrays on a grid.
+    The vertex of a parabola through the last zoom's best three points is
+    kept where it lowers the objective, which it need not at an edge or kink."""
+    xs = np.linspace(*box, _GRID_POINTS)
+    with np.errstate(all="ignore"):
+        for zoom in range(_ZOOMS + 1):
+            if zoom:
+                xs = np.linspace(*xs[np.clip([i - 1, i + 1], 0, xs.size - 1)], _GRID_POINTS)
+            fit = profile(xs)
+            i = int(np.argmin(np.where(np.isnan(fit[0]), np.inf, fit[0])))
+        f, best = fit[0], [float(xs[i]), *(float(v[i]) for v in fit)]
+        if 0 < i < xs.size - 1 and (curvature := f[i - 1] - 2 * f[i] + f[i + 1]) > 0:
+            vertex = best[0] + (xs[1] - xs[0]) * (f[i - 1] - f[i + 1]) / (2 * curvature)
+            fit = [float(v[0]) for v in profile(np.array([vertex]))]
+            if fit[0] < best[1]:
+                best = [float(vertex), *fit]
+    return best
 
 
 def _deviance(ln_values, counts, ln_model):
@@ -218,8 +229,8 @@ def _profile(betas, values, log_omega, counts, d_white):
 
 
 def _fisher_covariance(grad, counts) -> np.ndarray:
-    """Inverse of the Fisher information sum_k m_k g_k g_k^T, where row k
-    of ``grad`` is g_k, the gradient of ln S at bin k; NaN if singular."""
+    """Inverse of sum_k m_k g_k g_k^T over the rows g_k of ``grad`` (the
+    Fisher information, or J^T J where every m_k is 1); NaN if singular."""
     info = grad.T @ (counts[:, None] * grad)
     try:
         return np.linalg.inv(info)
@@ -233,10 +244,9 @@ def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
     An m-point bin mean of a periodogram is distributed as
     S * Gamma(m, 1/m), so the fit minimizes the Whittle deviance
     (Whittle 1953; Vaughan 2010, MNRAS 402, 307) over A >= 0, mu >= 0
-    and beta in [0, 4]: its profile D(beta) comes from one array
-    iteration over a beta grid that zooms onto the minimum, and a
-    parabola through the best three points places beta between them.
-    The errors come from the Fisher information.  The record is colored
+    and beta in [0, 4]; ``_grid_minimum`` minimizes its profile D(beta),
+    each grid one array iteration of ``_profile``, and the errors come
+    from the Fisher information.  The record is colored
     only when LR = D_white - D_min >= 0 against a white spectrum at the
     count-weighted mean level exceeds ``LR_THRESHOLD`` with beta > 0;
     otherwise the result is degenerate (mean level in mu, NaN beta).
@@ -254,22 +264,8 @@ def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
     log_omega = np.log(spectrum.omegas[keep])
     d_white = float(_deviance(np.log(values), counts,
                               math.log(counts @ values / counts.sum())))
-    betas = np.linspace(*_BETA_BOX, _GRID_POINTS)
-    with np.errstate(all="ignore"):
-        for zoom in range(_ZOOMS + 1):
-            if zoom:
-                betas = np.linspace(*betas[np.clip([i - 1, i + 1], 0, betas.size - 1)], _GRID_POINTS)
-            dev, a, mu = _profile(betas, values, log_omega, counts, d_white)
-            i = int(np.argmin(dev))
-        beta, d_min, a, mu = float(betas[i]), float(dev[i]), float(a[i]), float(mu[i])
-        # the parabola's vertex is kept where it lowers the deviance, which
-        # it need not at an edge of the box or where D(beta) has a kink
-        if 0 < i < betas.size - 1 and (curvature := dev[i - 1] - 2 * dev[i] + dev[i + 1]) > 0:
-            vertex = beta + (betas[1] - betas[0]) * (dev[i - 1] - dev[i + 1]) / (2 * curvature)
-            fit = [float(v[0]) for v in _profile(np.array([vertex]), values, log_omega,
-                                                 counts, d_white)]
-            if fit[0] < d_min:
-                beta, (d_min, a, mu) = float(vertex), fit
+    beta, d_min, a, mu = _grid_minimum(
+        lambda betas: _profile(betas, values, log_omega, counts, d_white), _BETA_BOX)
     lr = d_white - d_min
     if not (lr > LR_THRESHOLD and beta > 0):
         return _degenerate_fit(spectrum, window, lr)
@@ -303,37 +299,40 @@ def fit_knee_spectrum(spectrum: Spectrum) -> SpectrumFit:
 
 
 def fit_white_floor_vs_temp(points) -> FloorScalingFit:
-    """Fit mu(T) = mu0 + a * T^(2+x) to white-floor levels vs temperature."""
+    """Fit mu(T) = mu0 + a * T^(2+x) to white-floor levels vs temperature.
+
+    At a fixed x it is linear in (mu0, a), so a centred 2x2 solve profiles
+    the residual sum of squares over x in [-2, 4] (variable projection,
+    Golub & Pereyra 1973) with ``_grid_minimum``; x = -2 makes the model
+    constant and is skipped.  The covariance is s^2 (J^T J)^-1 at the
+    optimum, s^2 = RSS/(n - 3); where J^T J is singular the fit falls back
+    to the mean level with x unidentifiable.
+    """
     pts = sorted((float(t), float(mu)) for t, mu in points)
     if len(pts) < 4:
         raise DomainError("floor-scaling fit needs at least 4 temperatures")
-    temps = np.array([t for t, _ in pts])
-    mus = np.array([mu for _, mu in pts])
+    temps, mus = np.array(pts).T
     if temps[0] <= 0:
         raise DomainError("temperatures must be > 0")
     if temps[-1] < 5 * temps[0]:
         raise DomainError("temperatures must span at least a factor of 5")
 
-    a0 = (mus[-1] - mus[0]) / (temps[-1] ** 2 - temps[0] ** 2)
-    mu00 = max(mus[0] - a0 * temps[0] ** 2, 0.0)
+    def profile(xs):
+        powers = temps ** (2 + xs[:, None])
+        centred = powers - powers.mean(axis=1, keepdims=True)
+        a = centred @ (mus - mus.mean()) / np.einsum("ij,ij->i", centred, centred)
+        mu0 = mus.mean() - a * powers.mean(axis=1)
+        return ((mu0[:, None] + a[:, None] * powers - mus) ** 2).sum(axis=1), mu0, a
 
-    def residuals(p):
-        mu0, a, x = p
-        return mu0 + a * temps ** (2 + x) - mus
-
-    nan = float("nan")
-    try:
-        result = fitting.least_squares(residuals, [mu00, a0, 0.0],
-                                       names=("mu0", "a", "x"))
-    except FitError:
-        return FloorScalingFit(mu0=float(np.mean(mus)), a=0.0, x=nan,
-                               mu0_err=float(np.std(mus) / math.sqrt(len(pts))),
-                               a_err=nan, x_err=nan, x_unidentifiable=True)
-
-    a = result.parameters["a"]
-    a_err = result.stderr("a")
-    flag = not np.isfinite(a_err) or abs(a) < 2 * a_err
-    return FloorScalingFit(
-        mu0=max(result.parameters["mu0"], 0.0), a=float(a),
-        x=result.parameters["x"], mu0_err=result.stderr("mu0"),
-        a_err=float(a_err), x_err=result.stderr("x"), x_unidentifiable=flag)
+    (x, rss, mu0, a), n = _grid_minimum(profile, (-2.0, 4.0)), len(pts)
+    with np.errstate(all="ignore"):
+        power = temps ** (2 + x)
+        jac = np.stack([np.ones(n), power, a * power * np.log(temps)], axis=1)
+        cov = rss / max(n - 3, 1) * _fisher_covariance(jac, np.ones(n))
+    if not np.isfinite(cov).all():
+        return FloorScalingFit(mu0=float(np.mean(mus)), a=0.0, x=math.nan,
+                               mu0_err=float(np.std(mus) / math.sqrt(n)),
+                               a_err=math.nan, x_err=math.nan, x_unidentifiable=True)
+    mu0_err, a_err, x_err = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
+    return FloorScalingFit(mu0=max(mu0, 0.0), a=a, x=x, mu0_err=mu0_err, a_err=a_err,
+                           x_err=x_err, x_unidentifiable=abs(a) < 2 * a_err)

@@ -300,3 +300,26 @@ class TestCalibrateAttenuation:
             if err <= 3 * res.stderr("alpha"):
                 hits += 1
         assert hits >= 97
+
+    def test_readout_is_the_least_squares_solution(self):
+        params = make_params()
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+        sweep = synthetic_sweep(params, 0.389, self.temps, intercept=TWO_PI * 1e5,
+                                noise_sigma=TWO_PI * 2e4, rng=rng)
+        n_th = np.array([spectra.bose_occupation(params.omega_r, p.temperature)
+                         for p in sweep])
+        design = np.stack([2 * params.chi * params.kappa_x * n_th / params.kappa_tot,
+                           np.ones(n_th.size)], axis=1)
+        (alpha, intercept), *_ = np.linalg.lstsq(
+            design, [p.delta_omega_q for p in sweep], rcond=None)
+        res = cavity.calibrate_attenuation(sweep, "readout", params)
+        assert res.parameters["alpha"] == pytest.approx(alpha, rel=1e-12)
+        assert res.parameters["intercept"] == pytest.approx(intercept, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.389, 1.5])
+    def test_antenna_alpha_must_be_a_power_factor(self, alpha):
+        params = make_params()
+        sweep = synthetic_sweep(params, 0.389, self.temps)
+        with pytest.raises(DomainError):
+            cavity.calibrate_attenuation(sweep, "antenna", params, alpha=alpha)
+

@@ -17,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermoq
-from thermoq import cli, io, spectral
+from thermoq import cli, io, spectra, spectral
+from thermoq.cavity import StarkSweepPoint
+from thermoq.config import load_config
 from thermoq.constants import TWO_PI
 from thermoq.tlssim import TimeSeries
 
@@ -114,6 +116,22 @@ class TestStarkSweepAndCalibrate:
         assert cli.main(["calibrate", "--config", str(cfg),
                          "--input", str(sweep_csv),
                          "--port", "antenna"]) == 2
+
+    @pytest.mark.parametrize("share", [1.5, 3.0])
+    def test_antenna_share_at_least_one(self, tmp_path, capsys, share):
+        # a shift slope of share * 2 chi alpha per photon would need
+        # kappa_a / kappa_tot = share: no finite kappa_a gives it
+        cfg = write_config(tmp_path)
+        circuit = load_config(cfg).circuit
+        sweep_csv = tmp_path / "sweep.csv"
+        io.write_stark_sweep(sweep_csv, [
+            StarkSweepPoint(float(t), 2 * circuit.chi * 0.389 * share
+                            * spectra.bose_occupation(circuit.omega_r, float(t)))
+            for t in np.linspace(0.05, 1.5, 15)])
+        assert cli.main(["calibrate", "--config", str(cfg), "--input", str(sweep_csv),
+                         "--port", "antenna", "--alpha", "0.389"]) == 3
+        assert "no finite kappa_a" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "calibration.json").exists()
 
     def test_degenerate_sweep_is_a_fit_error(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -422,7 +440,7 @@ class TestErrorPaths:
         (["dephasing-sweep", "--t-min", "1e100", "--t-max", "1e100"],
          "second-order dephasing rate is not finite at temperature 1e+100 K"),
         (["gamma1-sweep", "--n-max", "1e308"],
-         "row 3: non-finite value in column 'gamma1_antenna_hz'"),
+         "--n-max 1e+308 too large: the relaxation rates overflow"),
         (["stark-sweep", "--t-min", "1e-310"],  # k_B*T underflows to 0
          "sweep temperature 1e-310 K outside the instrument range"),
     ])
@@ -431,6 +449,15 @@ class TestErrorPaths:
         assert cli.main([*argv, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_overflowing_photon_range_names_n_max(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["gamma1-sweep", "--n-max=1.7976931348623157e+308", "--config", str(cfg)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --n-max 1.7976931348623157e+308 too large: "
+            "the relaxation rates overflow\n")
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("temperature", [1e100, 1e300])
@@ -648,6 +675,8 @@ class TestFloatBoundaryFuzz:
     # ranges np.linspace cannot span: once an overflow warning, then exit 2
     @example(run=(["dephasing-sweep", "--t-max=1.7976931348623157e+308"], None))
     @example(run=(["stark-sweep", "--t-min=-1e308", "--t-max=1e308"], None))
+    # photon numbers whose relaxation rates overflow: exit 2 naming --n-max
+    @example(run=(["gamma1-sweep", "--n-max=1.7976931348623157e+308"], None))
     def test_exit_code_and_outputs(self, stark_sweep_csv, run):
         argv, temperatures = run
         with tempfile.TemporaryDirectory() as work:

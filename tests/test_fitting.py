@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from thermoq import cavity, config, fitting, spectra, spectral
+from thermoq import cavity, config, experiments, fitting, spectra
 from thermoq.errors import DegenerateDataError, ModelDomainError, RankDeficiencyError
 
 
@@ -312,6 +312,67 @@ def floor_points():
     return list(zip(temps, mus))
 
 
+def budget_floor_points(rng):
+    """mu0 + a*T^(2+x) at 8 jittered temperatures over 30-300 mK with 1 %
+    noise, drawn the way the budget_scan benchmark draws its floor inputs."""
+    x = rng.uniform(-0.3, 0.3)
+    mu0 = rng.uniform(1.0, 5.0) * 1e-29
+    a = rng.uniform(20.0, 50.0) * mu0 / 0.3 ** (2 + x)
+    temps = 0.03 * 10.0 ** (np.arange(8) / 7) * (1.0 + rng.uniform(-0.02, 0.02, 8))
+    mus = (mu0 + a * temps ** (2 + x)) * (1.0 + 0.01 * rng.standard_normal(8))
+    return list(zip(temps, mus))
+
+
+def calibration_problem(sweep, port, alpha=0.389):
+    """(residuals, start, names) of a Stark calibration posed as nonlinear
+    least squares in (alpha or kappa_a, intercept), started from alpha = 1
+    or the configured kappa_a: a two-parameter row model for the LM loop."""
+    circuit = SAMPLE.circuit
+    n_th = np.array([spectra.bose_occupation(circuit.omega_r, p.temperature) for p in sweep])
+    shifts = np.array([p.delta_omega_q for p in sweep])
+    chi = circuit.chi
+    if port == "readout":
+        def residual(p):
+            a, c = p
+            return shifts - (2 * chi * a * circuit.kappa_x * n_th / circuit.kappa_tot + c)
+
+        return residual, [1.0, shifts[0]], ("alpha", "intercept")
+
+    def residual(p):
+        ka, c = p
+        kappa_tot = circuit.kappa_i + circuit.kappa_x + ka
+        return shifts - (2 * chi * alpha * ka * n_th / kappa_tot + c)
+
+    return residual, [circuit.kappa_a, shifts[0]], ("kappa_a", "intercept")
+
+
+def floor_problem(points):
+    """(residuals, start, names) of mu0 + a*T^(2+x) posed as nonlinear
+    least squares in (mu0, a, x), started from the x = 0 curve through the
+    two end points."""
+    temps, mus = np.array(sorted(points)).T
+    a0 = (mus[-1] - mus[0]) / (temps[-1] ** 2 - temps[0] ** 2)
+    mu00 = max(mus[0] - a0 * temps[0] ** 2, 0.0)
+
+    def residuals(p):
+        mu0, a, x = p
+        return mu0 + a * temps ** (2 + x) - mus
+
+    return residuals, [mu00, a0, 0.0], ("mu0", "a", "x")
+
+
+def solve(problem):
+    residuals, start, names = problem
+    return fitting.least_squares(residuals, start, names=names)
+
+
+def ramsey_trace():
+    rate, detuning = 2 * math.pi * 2.1e6, 2 * math.pi * 5e6
+    times = np.linspace(0.0, 5.0 / rate, 101)
+    return experiments.simulate_trace("ramsey", rate, detuning, times,
+                                      n_averages=400_000, seed=14)
+
+
 def lm_batches(monkeypatch, fraction, fit):
     """Every batch the LM loop returns while ``fit()`` runs with the given
     collapse fraction; 0 never collapses, which is the old schedule."""
@@ -333,15 +394,13 @@ class TestCollapseExit:
     fits as waiting for the damping to pass 1e30, bit for bit."""
 
     @pytest.mark.parametrize("fit", [
-        lambda: cavity.calibrate_attenuation(stark_sweep("readout"), "readout",
-                                             SAMPLE.circuit),
-        lambda: cavity.calibrate_attenuation(stark_sweep("readout", noise=0.01),
-                                             "readout", SAMPLE.circuit),
-        lambda: cavity.calibrate_attenuation(stark_sweep("antenna", noise=0.01),
-                                             "antenna", SAMPLE.circuit, alpha=0.389),
-        lambda: spectral.fit_white_floor_vs_temp(floor_points()),
+        lambda: solve(calibration_problem(stark_sweep("readout"), "readout")),
+        lambda: solve(calibration_problem(stark_sweep("readout", noise=0.01), "readout")),
+        lambda: solve(calibration_problem(stark_sweep("antenna", noise=0.01), "antenna")),
+        lambda: solve(floor_problem(floor_points())),
         lambda: fitting.fit_decays(*noisy_decays(1200, 400, 9)),
-    ], ids=["readout", "noisy-readout", "antenna", "floor", "decays"])
+        lambda: experiments.fit_trace(ramsey_trace()),
+    ], ids=["readout", "noisy-readout", "antenna", "floor", "decays", "ramsey"])
     def test_same_fits_in_no_more_trials(self, monkeypatch, fit):
         old = lm_batches(monkeypatch, 0.0, fit)
         new = lm_batches(monkeypatch, fitting._COLLAPSE_FRACTION, fit)
@@ -370,8 +429,7 @@ class TestCollapseExit:
 
         def fit():
             formed.clear()
-            result = cavity.calibrate_attenuation(stark_sweep("readout"), "readout",
-                                                  SAMPLE.circuit)
+            result = solve(calibration_problem(stark_sweep("readout"), "readout"))
             return result.n_iterations, len(formed) - 2, result.parameters["alpha"]
 
         trials, accepted, alpha = fit()

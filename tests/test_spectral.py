@@ -17,6 +17,8 @@ from thermoq.constants import TWO_PI, hbar
 from thermoq.errors import DomainError
 from thermoq.tlssim import TimeSeries
 
+from test_fitting import budget_floor_points, floor_points, floor_problem
+
 MEAN = TWO_PI * 3.9e6  # typical relaxation-rate level, rad/s
 
 
@@ -368,6 +370,43 @@ class TestFloorScalingFit:
         fit = spectral.fit_white_floor_vs_temp(points)
         assert fit.x_unidentifiable
         assert fit.mu0 == pytest.approx(self.MU0, rel=1e-9)
+
+    def test_no_start_finds_a_lower_rss(self):
+        # a general-purpose solver on (mu0, a, x) over the same box, from the
+        # fitted point and from the x = 0 curve through the end points,
+        # finds no lower residual sum of squares
+        optimize = pytest.importorskip("scipy.optimize")
+        draws = [floor_points()] + [budget_floor_points(np.random.default_rng(child))
+                                    for child in np.random.SeedSequence(31).spawn(50)]
+        for points in draws:
+            fit = spectral.fit_white_floor_vs_temp(points)
+            assert fit.mu0 > 0 and not fit.x_unidentifiable
+            residuals, quadratic_start, _ = floor_problem(points)
+            scale = float(np.mean([mu for _, mu in points]))
+            temps = np.array(sorted(points))[:, 0]
+
+            def scaled(q):  # mu0 and a in units of the mean level
+                return residuals([q[0] * scale, q[1] * scale, q[2]]) / scale
+
+            def jacobian(q):
+                power = temps ** (2 + q[2])
+                return np.stack([np.ones(temps.size), power,
+                                 q[1] * power * np.log(temps)], axis=1)
+
+            rss = np.sum(scaled([fit.mu0 / scale, fit.a / scale, fit.x]) ** 2)
+            for mu0, a, x in ([fit.mu0, fit.a, fit.x], quadratic_start):
+                found = optimize.least_squares(
+                    scaled, [mu0 / scale, a / scale, x], jac=jacobian,
+                    bounds=([-np.inf, -np.inf, -2.0], [np.inf, np.inf, 4.0]),
+                    ftol=1e-15, xtol=1e-15, gtol=1e-15)
+                assert 2 * found.cost >= rss * (1 - 1e-10)
+
+    def test_floor_exponent_beyond_box(self):
+        # x is profiled over [-2, 4]: a floor rising as T^8 fits at the edge
+        fit = spectral.fit_white_floor_vs_temp(
+            list(zip(self.TEMPS, self.MU0 + self.A * self.TEMPS ** 8)))
+        assert fit.x == 4.0
+        assert not fit.x_unidentifiable
 
     def test_input_span_guards(self):
         with pytest.raises(DomainError):
