@@ -179,7 +179,8 @@ def calibrate_attenuation(sweep, port: str, params: CircuitParams,
     intercept, the reference offset.  The antenna shift is s n_th plus the
     intercept, with the calibrated ``alpha`` supplied: the share u =
     s / (2 chi alpha) gives kappa_a = (kappa_i + kappa_x) u / (1 - u) and
-    its errors by the delta method, and u >= 1 raises ModelDomainError.
+    its errors by the delta method, and u >= 1 within rounding raises
+    ModelDomainError.
     """
     points = list(sweep)
     if len(points) < 4:
@@ -201,9 +202,11 @@ def calibrate_attenuation(sweep, port: str, params: CircuitParams,
             raise DomainError("antenna calibration requires the calibrated alpha in (0, 1]")
         fit = fitting.linear_fit(n_th, shifts)
         slope, intercept = fit.parameters.values()
-        if not (share := slope / (2 * chi * alpha)) < 1:
-            raise ModelDomainError(f"antenna slope gives kappa_a/kappa_tot = {share:.6g} >= 1: "
-                                   "no finite kappa_a")
+        # the fitted slope carries a few ulps of rounding (u within 2 eps of
+        # 1 on exact u = 1 sweeps), so a share within 8 eps of 1 counts as 1
+        if not (share := slope / (2 * chi * alpha)) < 1 - 8 * np.finfo(float).eps:
+            raise ModelDomainError(f"antenna slope gives kappa_a/kappa_tot = {share:.6g}, "
+                                   ">= 1 within rounding: no finite kappa_a")
         kappa_ix = params.kappa_i + params.kappa_x
         # d kappa_a / d slope, divided in turn so that no square overflows
         grad = np.diag([kappa_ix / (1 - share) / (1 - share) / (2 * chi * alpha), 1.0])

@@ -9,15 +9,15 @@ over into a white floor at a prescribed knee).
 Temperature enters the microscopic model only as a linear scale factor
 T/T_ref (T_ref = 1 K) on the switching rates -- the simplest monotone
 thermal-activation proxy; no quantitative microscopic rate law is
-asserted.  Telegraph switching is event-driven (exponential waiting
-times), which keeps the statistics correct for switch rates far below
-the sampling rate.  Only the m switches of a TLS are located on the
-n-sample grid (a switch at a sample time counts at that sample); its
-levels then fill the runs between them, O(m log n) plus one pass.
+asserted.  Telegraph switching is event-driven: a TLS's switch count is
+Poisson and its switch times are uniform (the order-statistics property
+of the Poisson process), exact at any rate relative to the sampling
+rate.  Each switch steps the record by its TLS's signed level
+difference, so the ensemble's M switches over n samples take one sort,
+one weighted bincount and one running sum, O(M log M + n).
 
-Every realization derives its random stream from the integer seed (one
-independent substream per TLS), so results are reproducible regardless
-of execution parallelism.
+Every realization draws from one random stream seeded by the integer
+seed, so results are reproducible regardless of execution parallelism.
 """
 
 import math
@@ -165,26 +165,28 @@ def sample_ensemble(config: EnsembleConfig) -> list[Tls]:
     ]
 
 
-def _switch_times(rng, rate: float, duration: float) -> np.ndarray:
-    """Switch times of a telegraph process at ``rate``, until past ``duration``."""
-    if rate <= 0:
-        return np.empty(0)
-    switch_times = []
-    total = 0.0
-    chunk = max(16, int(rate * duration * 1.2) + 16)
-    while total <= duration:
-        waits = rng.exponential(1.0 / rate, chunk)
-        cum = total + np.cumsum(waits)
-        switch_times.append(cum)
-        total = float(cum[-1])
-    return np.concatenate(switch_times)
+def _telegraph_sum(n: int, counts, positions: np.ndarray, start, other) -> np.ndarray:
+    """Telegraph steps summed over TLS at samples 0..n-1, start levels left out.
 
-
-def _alternate_levels(times: np.ndarray, switch_times: np.ndarray, levels) -> np.ndarray:
-    """The two ``levels`` in turn over the runs of samples between switches."""
-    idx = np.searchsorted(times, switch_times, side="left")
-    lengths = np.diff(np.concatenate(([0], idx, [times.size])))
-    return np.repeat(np.tile(levels, lengths.size // 2 + 1)[:lengths.size], lengths)
+    TLS i goes from start[i] to other[i] and back at the next counts[i]
+    entries of ``positions`` (in sample intervals, any order; overwritten).
+    A switch counts from the first sample at or after it; past the last
+    sample it is dropped.
+    """
+    np.ceil(positions, out=positions)
+    np.minimum(positions, n, out=positions)
+    # sort by TLS, then by sample, in place: two per-switch arrays at most
+    key = np.repeat(np.arange(len(counts), dtype=np.int64) * (n + 1), counts)
+    np.add(key, positions, out=key, casting="unsafe")  # integers below 2**53: exact
+    del positions
+    key.sort()
+    key %= n + 1
+    # switch j of TLS i steps by (-1)^j (other_i - start_i); after the sort
+    # it sits at offset_i + j, so one sign per TLS and one strided flip do it
+    offsets = np.cumsum(counts) - counts
+    step = np.repeat(np.subtract(other, start) * (-1.0) ** offsets, counts)
+    step[1::2] *= -1
+    return np.cumsum(np.bincount(key, weights=step, minlength=n + 1)[:n], dtype=float)
 
 
 def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
@@ -192,13 +194,15 @@ def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
     """Simulate gamma1(t) = base_gamma1 + sum of telegraphing Lorentzians.
 
     Each TLS switches its center frequency between omega_tls +/- jump/2
-    at the temperature-scaled rate switch_rate * (T/T_ref), with exact
-    exponential waiting times; its contribution at time t is
+    at the temperature-scaled rate r = switch_rate * (T/T_ref); its
+    contribution at time t is
     coupling * (linewidth/2)^2 / [(linewidth/2)^2 + (omega_q - omega(t))^2].
-    A switch counts from the first sample at or after it; the two levels
-    alternate, from a random start, over the runs of samples between
-    switches.  ``ensemble`` may be any iterable of Tls.  Identical output
-    for identical seed, independent of parallelism.
+    One stream draws the start levels (up or down, 1/2 each), the switch
+    counts ~ Poisson(r * duration) and all switch times, uniform on
+    [0, duration).  A switch steps its TLS's contribution by the signed
+    level difference from the first sample at or after it, so the record
+    is the start levels plus a running sum of steps.  ``ensemble`` may
+    be any iterable of Tls.  Identical output for identical seed.
     """
     if not dt > 0:
         raise DomainError("dt must be > 0")
@@ -208,18 +212,17 @@ def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
         raise DomainError("temperature must be >= 0")
     ensemble = list(ensemble)
     n = int(round(duration / dt))
-    times = dt * np.arange(n)
-    values = np.full(n, float(base_gamma1))
-    children = np.random.SeedSequence(seed).spawn(len(ensemble))
-    for tls, child in zip(ensemble, children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        up_first = rng.random() < 0.5
-        half = tls.linewidth / 2
-        v_up = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls + tls.jump / 2)) ** 2)
-        v_dn = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls - tls.jump / 2)) ** 2)
-        switch_times = _switch_times(rng, tls.switch_rate * (T / T_REF), duration)
-        values += _alternate_levels(times, switch_times,
-                                    (v_up, v_dn) if up_first else (v_dn, v_up))
+    params = [(t.coupling, t.linewidth / 2, t.omega_tls, t.jump, t.switch_rate) for t in ensemble]
+    coupling, half, omega_tls, jump, rate = np.array(params, dtype=float).reshape(-1, 5).T
+    centers = omega_tls + np.multiply.outer([1, -1], jump / 2)  # up, down
+    v_up, v_dn = coupling * half**2 / (half**2 + (omega_q - centers) ** 2)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    up_first = rng.random(len(ensemble)) < 0.5
+    counts = rng.poisson(rate * (T / T_REF) * duration)
+    start, other = np.where(up_first, v_up, v_dn), np.where(up_first, v_dn, v_up)
+    values = _telegraph_sum(n, counts, rng.uniform(0.0, duration / dt, counts.sum()),
+                            start, other)
+    values += float(base_gamma1) + start.sum()
     return TimeSeries(t0=0.0, dt=dt, values=values, seed_used=seed)
 
 

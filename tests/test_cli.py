@@ -117,10 +117,11 @@ class TestStarkSweepAndCalibrate:
                          "--input", str(sweep_csv),
                          "--port", "antenna"]) == 2
 
-    @pytest.mark.parametrize("share", [1.5, 3.0])
+    @pytest.mark.parametrize("share", [1.0, 1.5, 3.0])
     def test_antenna_share_at_least_one(self, tmp_path, capsys, share):
         # a shift slope of share * 2 chi alpha per photon would need
-        # kappa_a / kappa_tot = share: no finite kappa_a gives it
+        # kappa_a / kappa_tot = share: no finite kappa_a gives it; at
+        # share 1 the fitted slope rounds to just below 1
         cfg = write_config(tmp_path)
         circuit = load_config(cfg).circuit
         sweep_csv = tmp_path / "sweep.csv"

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,41 +30,29 @@ def make_tls(switch_rate):
     )
 
 
-def _per_sample_states(rng, rate, times, duration):
-    """State (+/-1) of a symmetric telegraph process at the sample times.
-
-    The per-sample search that the run-length fill replaced, kept
-    verbatim as the reference for bit identity.
-    """
-    state0 = 1 if rng.random() < 0.5 else -1
-    if rate <= 0:
-        return np.full(times.size, state0)
-    switch_times = []
-    total = 0.0
-    chunk = max(16, int(rate * duration * 1.2) + 16)
-    while total <= duration:
-        waits = rng.exponential(1.0 / rate, chunk)
-        cum = total + np.cumsum(waits)
-        switch_times.append(cum)
-        total = float(cum[-1])
-    switch_times = np.concatenate(switch_times)
-    n_switches = np.searchsorted(switch_times, times, side="right")
-    return np.where(n_switches % 2 == 0, state0, -state0)
-
-
 def _per_sample_values(ensemble, omega_q, T, duration, dt, seed, base_gamma1):
-    """gamma1(t) accumulated from per-sample states, as before the run-length fill."""
+    """gamma1(t) from the same stream, each TLS's level looked up per sample.
+
+    The reference replays the draws of ``simulate_microscopic`` (start
+    levels, Poisson counts, uniform switch positions) and counts, for
+    every sample, the switches of each TLS at or before it.
+    """
     n = int(round(duration / dt))
-    times = dt * np.arange(n)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    up_first = rng.random(len(ensemble)) < 0.5
+    rates = np.array([tls.switch_rate for tls in ensemble], dtype=float) * (T / tlssim.T_REF)
+    counts = rng.poisson(rates * duration)
+    positions = rng.uniform(0.0, duration / dt, counts.sum())
+    per_tls = np.split(positions, np.cumsum(counts)[:-1])
+    samples = np.arange(n)
     values = np.full(n, float(base_gamma1))
-    children = np.random.SeedSequence(seed).spawn(len(ensemble))
-    for tls, child in zip(ensemble, children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        state = _per_sample_states(rng, tls.switch_rate * (T / tlssim.T_REF), times, duration)
+    for tls, up, switches in zip(ensemble, up_first, per_tls):
+        n_switches = np.searchsorted(np.sort(switches), samples, side="right")
         half = tls.linewidth / 2
         v_up = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls + tls.jump / 2)) ** 2)
         v_dn = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls - tls.jump / 2)) ** 2)
-        values += np.where(state == 1, v_up, v_dn)
+        start, other = (v_up, v_dn) if up else (v_dn, v_up)
+        values += np.where(n_switches % 2 == 0, start, other)
     return values
 
 
@@ -222,45 +211,51 @@ class TestSimulateMicroscopic:
         assert in_band >= 80
 
 
-class TestRunLengthFill:
-    """The run-length fill equals the per-sample search bit for bit."""
+class TestSignedSteps:
+    """Switches map to samples, and the signed steps equal a per-sample count."""
 
-    def test_levels_alternate_over_hand_made_switches(self):
-        times = np.arange(6.0)
-        # one switch exactly on sample 2, three inside (2, 3), one past the end
-        switch_times = np.array([0.5, 2.0, 2.2, 2.4, 2.6, 4.5, 7.0])
-        parity = tlssim._alternate_levels(times, switch_times, (0, 1))
-        counted = np.searchsorted(switch_times, times, side="right") % 2
-        assert parity.tolist() == counted.tolist() == [0, 1, 0, 1, 1, 0]
+    @staticmethod
+    def one_tls(n, positions):
+        return tlssim._telegraph_sum(n, [len(positions)], np.array(positions, dtype=float),
+                                     [0.0], [1.0]).tolist()
 
-    def test_switch_at_first_sample_and_none_inside(self):
-        times = np.arange(4.0)
-        levels = (2.5, -1.0)
-        assert tlssim._alternate_levels(times, np.array([0.0, 9.0]),
-                                        levels).tolist() == [-1.0] * 4
-        assert tlssim._alternate_levels(times, np.array([9.0]),
-                                        levels).tolist() == [2.5] * 4
-        assert tlssim._alternate_levels(times, np.empty(0),
-                                        levels).tolist() == [2.5] * 4
+    def test_switch_on_a_sample_counts_there(self):
+        assert self.one_tls(6, [2.0]) == [0, 0, 1, 1, 1, 1]
+        assert self.one_tls(4, [0.0]) == [1, 1, 1, 1]
+
+    def test_three_switches_in_one_interval_flip_once(self):
+        assert self.one_tls(6, [2.4, 2.2, 2.6]) == [0, 0, 0, 1, 1, 1]
+        assert self.one_tls(6, [2.4, 2.2]) == [0] * 6
+
+    def test_switch_past_the_last_sample_is_dropped(self):
+        assert self.one_tls(6, [5.5]) == [0] * 6
+        assert self.one_tls(6, [9.0, 4.5, 7.0]) == [0, 0, 0, 0, 0, 1]
+        assert self.one_tls(4, []) == [0] * 4
+
+    def test_hand_made_switches_of_two_tls(self):
+        # TLS 0: on sample 2, three inside (2, 3), one past the end;
+        # TLS 1: inside (0, 1) and (3, 4); each block in any order
+        positions = np.array([2.2, 0.5, 7.0, 2.0, 2.6, 4.5, 2.4, 3.5, 0.5])
+        record = tlssim._telegraph_sum(6, [7, 2], positions, [0.0, 10.0], [1.0, 12.0])
+        assert record.tolist() == [0, 3, 2, 3, 1, 0]
 
     @pytest.mark.parametrize("n_tls, rate_decades, T, duration, dt", [
-        (50, (1e-5, 1e-1), 0.0, 12000.0, 10.0),    # T = 0: rate 0, no draws
+        (50, (1e-5, 1e-1), 0.0, 12000.0, 10.0),    # T = 0: rate 0, no switches
         (5, (1.0, 10.0), 20.0, 2000.0, 1.0),       # 20-200 switches per interval
         (30, (1e-3, 1e-1), 1.0, 12370.0, 10.0),    # 1237 samples
         (1, (1e-3, 1e-1), 1.0, 12000.0, 10.0),     # a single TLS
         (20, (1e-5, 1e-1), 5.0, 2.0**14 * 10, 10.0),
     ])
-    def test_bit_identical_to_per_sample_search(self, n_tls, rate_decades, T,
-                                                duration, dt):
+    def test_matches_per_sample_reference(self, n_tls, rate_decades, T, duration, dt):
         ensemble = tlssim.sample_ensemble(make_config(
             n_tls=n_tls, rate_decades=rate_decades, seed=8))
         base = TWO_PI * 3.9e6
         ts = tlssim.simulate_microscopic(ensemble, OMEGA_Q, T, duration, dt,
                                          seed=17, base_gamma1=base)
         expected = _per_sample_values(ensemble, OMEGA_Q, T, duration, dt, 17, base)
-        assert ts.values.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(ts.values, expected, rtol=1e-12, atol=0)
 
-    def test_bit_identical_on_sample_json_ensemble(self):
+    def test_matches_reference_on_sample_json_ensemble(self):
         run, ensemble, seed = _sample_json_ensemble()
         args = (run.circuit.omega_q0, run.campaign.temperature,
                 run.campaign.duration, 1.0 / run.campaign.point_rate, seed)
@@ -268,32 +263,56 @@ class TestRunLengthFill:
         ts = tlssim.simulate_microscopic(ensemble, *args,
                                          base_gamma1=run.tls.base_gamma1)
         expected = _per_sample_values(ensemble, *args, run.tls.base_gamma1)
-        assert ts.values.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(ts.values, expected, rtol=1e-12, atol=0)
 
-    def test_bit_identical_with_switches_past_the_last_sample(self):
+    def test_matches_reference_with_switches_past_the_last_sample(self):
         # the record ends at 990 s, 14.9 s before the duration, and a
         # rate of 2/s puts about 30 switches in between
         tls = make_tls(2.0)
         duration, dt, seed = 1004.9, 10.0, 5
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-        rng.random()
-        assert np.count_nonzero(tlssim._switch_times(rng, 2.0, duration) > 990.0) > 10
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng.random(1)
+        positions = rng.uniform(0.0, duration / dt, rng.poisson([2.0 * duration]).sum())
+        assert np.count_nonzero(positions > 99.0) > 10
         ts = tlssim.simulate_microscopic([tls], OMEGA_Q, 1.0, duration, dt, seed)
         expected = _per_sample_values([tls], OMEGA_Q, 1.0, duration, dt, seed, 0.0)
         assert ts.values.size == 100
-        assert ts.values.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(ts.values, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rates", [[0.64], [0.0032] * 200])
+    def test_peak_memory_per_switch(self, rates):
+        # about 2**18 switches over 2**12 samples, in one TLS or over 200
+        ensemble = [make_tls(rate) for rate in rates]
+        n, dt = 2**12, 100.0
+        tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, n * dt, dt, seed=4)  # warm-up
+        tracemalloc.start()
+        try:
+            tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, n * dt, dt, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - 8 * n) / 2**18 <= 24
 
 
 class TestTelegraphSpectrum:
     def test_mean_periodogram_matches_sampled_telegraph_spectrum(self):
+        self.check_sampled_spectrum([make_tls(rate) for rate in (0.02, 0.1, 0.4)])
+
+    def test_dense_switching_matches_sampled_telegraph_spectrum(self):
+        # 2 to 20 switches per sample interval: only the parity of the
+        # switches inside one interval may reach the record
+        self.check_sampled_spectrum([make_tls(rate) for rate in (2.0, 5.0, 20.0)])
+
+    @staticmethod
+    def check_sampled_spectrum(ensemble):
         # A symmetric telegraph process flipping at rate r between levels
         # mean +/- sigma, sampled every dt, has autocovariance
         # sigma^2 rho^|k| with rho = exp(-2 r dt), so its spectrum is
         # sigma^2 (1 - rho^2) / |1 - rho exp(-i omega dt)|^2 (Machlup
         # 1954, in sampled form: no aliasing term); independent TLS add.
         # The finite record shifts the expected periodogram from this by
-        # under 0.6 % at every bin here (Fejer kernel, computed apart).
-        ensemble = [make_tls(rate) for rate in (0.02, 0.1, 0.4)]
+        # under 0.6 % at every bin for the slow ensemble and under 1e-5
+        # for the dense one (Fejer kernel, computed apart).
         dt, n, n_records, group = 1.0, 4096, 64, 64
         omegas = TWO_PI * np.arange(1, n // 2) / (n * dt)  # Nyquist left out
         expected = np.zeros(omegas.size)
