@@ -187,11 +187,11 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.point_rate > 0:
             raise DomainError("point_rate must be positive")
-        if self.duration * self.point_rate < 64:
+        if not self.duration * self.point_rate >= 64:
             raise DomainError("campaign needs at least 64 points")
-        if self.n_averages < 1:
+        if not self.n_averages >= 1:
             raise DomainError("n_averages must be a positive count")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise DomainError("temperature must be non-negative")
 
 

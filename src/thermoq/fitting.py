@@ -3,22 +3,22 @@
 Every nonlinear fit runs through ``_levenberg_marquardt`` on one fixed,
 reproducible schedule: Marquardt scaling of the damping term, initial
 damping 1e-3, damping per row multiplied by 10 on a rejected step and
-divided by 10 on an accepted one.  A row converges when its relative
-step and relative residual change are both below 1e-10, or when its
-step has collapsed.  The scaled step r = |D^1/2 step|, D = diag(J^T J),
-bounds each |step_i| by r/sqrt(D_ii) and only shrinks as the damping
-grows (More 1978, LNM 630), so once r/sqrt(D_ii) is below an eighth of
-the spacing of q_i for every i, no later trial can move q, and the row
-stops before its trial point is evaluated.  Where some q_i = 0 that
-test cannot pass, and a row whose damping passes 1e30 counts as
-collapsed instead.  A row stops after 200 trial steps either way.
+divided by 10 on an accepted one.  As in MINPACK (More 1978, LNM 630;
+More, Garbow & Hillstrom 1980, ANL-80-74), the stopping test sees every
+trial, accepted or not: a row converges once a trial's relative step and
+relative residual change are both below 1e-10, and a rejected row stops
+at the point it holds.  A step too small to move q therefore stops its
+row at once.  Where q = 0 no step is small relative to q, and a row
+whose damping passes 1e30 counts as converged instead.
+A row stops after 200 trial steps either way.
 Rows stop independently, a row whose fit cannot be formed is flagged
 instead of raised, and no row's arithmetic depends on the others, so a
 row fitted in a batch equals the same fit alone, bit for bit.  Two
 Jacobian providers feed the loop: analytic sums for
-offset + amplitude*exp(-rate*t) (``fit_decays``), and forward
-differences of step max(1e-8, 1e-8*|q|) for any unconstrained row model
-(``fit_rows``, and ``least_squares``, its batch of one).
+offset + amplitude*exp(-rate*t) (``fit_decays``, started in closed form
+by ``_decay_start``), and forward differences of step
+max(1e-8, 1e-8*|q|) for any unconstrained row model (``fit_rows``, and
+``least_squares``, its batch of one).
 """
 
 from dataclasses import dataclass, replace
@@ -30,10 +30,6 @@ from .errors import DegenerateDataError, ModelDomainError, RankDeficiencyError
 _REL_TOL = 1e-10
 _MAX_ITER = 200
 _DAMPING_0 = 1e-3
-# a step bounded by this fraction of q's spacing leaves q unchanged: 1/2
-# for rounding to nearest, halved again for the smaller spacing just
-# below a power of two and again for rounding in the solve
-_COLLAPSE_FRACTION = 0.125
 DECAY_NAMES = ("rate", "amplitude", "offset")
 
 
@@ -163,16 +159,9 @@ def _levenberg_marquardt(provider, q, names) -> Fits:
                 np.linalg.solve, normal + damping[:, None, None] * (diag[:, :, None] * eye),
                 -grad[:, :, None])
             step = step[:, :, 0]
-            # a NaN step (singular row) never collapses
-            reach = np.sqrt((diag * step**2).sum(axis=1))[:, None] / np.sqrt(diag)
-            collapsed = (reach < _COLLAPSE_FRACTION * np.spacing(np.abs(qw))).all(axis=1)
             if singular.any():
                 stop(singular, RankDeficiencyError("singular normal equations"))
-                step, collapsed = step[~singular], collapsed[~singular]
-            if collapsed.any():
-                converged[rows[collapsed]] = True
-                stop(collapsed)
-                step = step[~collapsed]
+                step = step[~singular]
             if rows.size == 0:
                 break
             q_trial = qw + step
@@ -180,18 +169,15 @@ def _levenberg_marquardt(provider, q, names) -> Fits:
             # a non-finite trial residual has a NaN or infinite norm
             accept = norm_trial < normw
             damping = np.where(accept, damping / 10.0, damping * 10.0)
-            # only a rejected step takes damping past 1e30: a collapse the
-            # check above cannot see where some q_i = 0
-            done = damping > 1e30
-            if accept.any():
-                rel_dres = np.abs(normw - norm_trial) / np.maximum(normw, 1e-300)
-                close = accept & ((rel_dres < _REL_TOL) | (norm_trial == 0.0))
-                if close.any():
-                    rel_step = provider.norm(step) / np.maximum(provider.norm(qw), 1e-300)
-                    done |= close & ((rel_step < _REL_TOL) | (norm_trial == 0.0))
-                np.copyto(qw, q_trial, where=accept[:, None])
-                np.copyto(normw, norm_trial, where=accept)
-                stale = accept
+            # the stopping test sees every trial, accepted or not; only a
+            # rejected step takes damping past 1e30, the exit where q = 0
+            rel_dres = np.abs(normw - norm_trial) / np.maximum(normw, 1e-300)
+            rel_step = provider.norm(step) / np.maximum(provider.norm(qw), 1e-300)
+            done = (damping > 1e30) | (norm_trial == 0.0) | (
+                (rel_dres < _REL_TOL) & (rel_step < _REL_TOL))
+            np.copyto(qw, q_trial, where=accept[:, None])
+            np.copyto(normw, norm_trial, where=accept)
+            stale = accept
             if done.any():
                 converged[rows[done]] = True
                 stop(done)
@@ -279,27 +265,38 @@ def _row_dot(a, b):
 
 
 def _decay_start(times, data):
-    """Log-linear slope of the part above 5 % of each row's maximum.
+    """Integral-equation start (Jacquelin 2009): y = a + b*t - rate*S(t).
 
-    Falls back to 2/span where fewer than 3 points qualify or the slope
-    is not negative; amplitude and offset start from the first point and
-    the minimum.
+    With y each row less its first point (so a flat row is exactly 0)
+    and S the trapezoid integral of y, the rate comes from a centred 2x2
+    least-squares solve on t and S; it falls back to 2/span where it is
+    not positive and finite.  Amplitude and offset then follow by linear
+    least squares at that rate.
     """
-    offset = data.min(axis=1)
-    decaying = data - offset[:, None]
-    sel = decaying > np.maximum(decaying.max(axis=1) * 0.05, 1e-12)[:, None]
-    count = sel.sum(axis=1)
-    n = np.maximum(count, 1)[:, None]
-    # centred abscissae and log ordinates of the selected points, 0 elsewhere
-    x = np.where(sel, times, 0.0)
-    y = np.log(decaying, where=sel, out=np.zeros_like(decaying))
-    np.subtract(x, x.sum(axis=1, keepdims=True) / n, out=x, where=sel)
-    np.subtract(y, y.sum(axis=1, keepdims=True) / n, out=y, where=sel)
-    sxx = _row_dot(x, x)
-    slope = _row_dot(x, y) / np.where(sxx > 0, sxx, 1.0)
-    use_slope = (count >= 3) & (sxx > 0) & (slope < 0)
-    rate = np.where(use_slope, -slope, 2.0 / times[:, -1])
-    return np.stack([rate, data[:, 0] - offset, offset], axis=1)
+    m = times.shape[1]
+    y = data - data[:, :1]
+    x, s = np.empty_like(times), np.empty_like(data)
+    # s: the trapezoid integral S, from 0 at the first point
+    np.subtract(times[:, 1:], times[:, :-1], out=x[:, 1:])
+    np.add(y[:, 1:], y[:, :-1], out=s[:, 1:])
+    s[:, 1:] *= x[:, 1:]
+    s[:, 0] = 0.0
+    np.cumsum(s, axis=1, out=s)
+    s *= 0.5
+    np.subtract(times, times.sum(axis=1, keepdims=True) / m, out=x)
+    s -= s.sum(axis=1, keepdims=True) / m
+    sxx, sss, sxs = _row_dot(x, x), _row_dot(s, s), _row_dot(x, s)
+    rate = (sxs * _row_dot(x, y) - sxx * _row_dot(s, y)) / (sxx * sss - sxs**2)
+    rate = np.where((rate > 0) & (rate < np.inf), rate, 2.0 / times[:, -1])
+    # the centred envelope, in s
+    np.multiply(times, -rate[:, None], out=s)
+    np.exp(s, out=s)
+    mean = s.sum(axis=1) / m
+    s -= mean[:, None]
+    see = _row_dot(s, s)
+    amplitude = _row_dot(s, y) / np.where(see > 0, see, 1.0)
+    offset = data[:, 0] + y.sum(axis=1) / m - amplitude * mean
+    return np.stack([rate, amplitude, offset], axis=1)
 
 
 class _DecaySums:

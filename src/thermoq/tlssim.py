@@ -206,9 +206,9 @@ def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
     """
     if not dt > 0:
         raise DomainError("dt must be > 0")
-    if duration < 10 * dt:
+    if not duration >= 10 * dt:
         raise DomainError("duration must be at least 10 * dt")
-    if T < 0:
+    if not T >= 0:
         raise DomainError("temperature must be >= 0")
     ensemble = list(ensemble)
     n = int(round(duration / dt))

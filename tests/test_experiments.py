@@ -399,3 +399,10 @@ class TestSimulateCampaign:
             self.make_config(duration=100.0)  # fewer than 64 points
         with pytest.raises(DomainError):
             self.make_config(n_averages=0)
+
+    @pytest.mark.parametrize("field,message", [
+        ("duration", "64 points"), ("temperature", "temperature"),
+        ("n_averages", "n_averages")])
+    def test_nan_config_field_is_refused(self, field, message):
+        with pytest.raises(DomainError, match=message):
+            self.make_config(**{field: math.nan})

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from thermoq import cavity, config, experiments, fitting, spectra
+from thermoq import cavity, config, fitting, spectra
 from thermoq.errors import DegenerateDataError, ModelDomainError, RankDeficiencyError
 
 
@@ -101,12 +101,19 @@ def noisy_decays(n, n_averages, seed):
 
 
 class TestFitDecays:
-    def test_rates_match_scipy(self):
+    # the residual norm may exceed SciPy's by at most 1e-12 relative.  At
+    # 100 averages a rate 1e-8 away changes the norm by less than its
+    # rounding: both fits land up to about 1e-8 from the long-double
+    # minimiser, on either side, so the rate bound there is 3e-8.
+    @pytest.mark.parametrize("n_averages,seed,rate_rel", [
+        (40_000, 3, 1e-7), (100, 41, 3e-8), (1_000, 42, 1e-8), (400_000, 43, 1e-8)])
+    def test_rates_match_scipy(self, n_averages, seed, rate_rel):
         optimize = pytest.importorskip("scipy.optimize")
-        times, data = noisy_decays(64, 40_000, 3)
+        times, data = noisy_decays(64, n_averages, seed)
         fits = fitting.fit_decays(times, data)
         assert fits.formed.all() and fits.converged.all()
-        for t, y, p, err in zip(times, data, fits.parameters, fits.stderr("rate")):
+        for t, y, p, err, norm in zip(times, data, fits.parameters, fits.stderr("rate"),
+                                      fits.residual_norm):
             def residual(q):
                 return q[2] + q[1] * np.exp(-q[0] * t) - y
 
@@ -118,10 +125,34 @@ class TestFitDecays:
                                          jac=jacobian, method="lm", xtol=1e-15,
                                          ftol=1e-15, gtol=1e-15)
             assert ref.success
-            assert p[0] == pytest.approx(ref.x[0], rel=1e-7)
+            assert p[0] == pytest.approx(ref.x[0], rel=rate_rel)
             s2 = 2 * ref.cost / (t.size - 3)
             ref_err = math.sqrt(s2 * np.linalg.inv(ref.jac.T @ ref.jac)[0, 0])
             assert err == pytest.approx(ref_err, rel=1e-5)
+            assert norm <= np.linalg.norm(ref.fun) * (1 + 1e-12)
+
+    def test_trial_budget(self):
+        # the closed-form start lands near the optimum and the stopping
+        # test sees rejected trials too: about 4 trials per row here
+        fits = fitting.fit_decays(*noisy_decays(1200, 400_000, 44))
+        assert fits.converged.all()
+        assert fits.n_iterations.mean() < 6
+
+    @pytest.mark.parametrize("n_averages", [400, 400_000])
+    def test_restart_at_the_optimum_stops_at_once(self, n_averages):
+        # restarted at its own optimum, a row stops at the first trial,
+        # accepted or rejected, that moves it by less than the tolerance:
+        # most at once, a few once the damping has shrunk a Gauss-Newton
+        # step just above it
+        times, data = noisy_decays(1200, n_averages, 9)
+        fits = fitting.fit_decays(times, data)
+        again = fitting._levenberg_marquardt(fitting._DecaySums(times, data),
+                                             fits.parameters.copy(), fitting.DECAY_NAMES)
+        assert again.converged.all()
+        assert np.median(again.n_iterations) == 1
+        assert again.n_iterations.max() <= 5
+        assert np.all(again.residual_norm <= fits.residual_norm)
+        assert np.allclose(again.parameters[:, 0], fits.parameters[:, 0], rtol=1e-8, atol=0)
 
     def test_matches_serial_least_squares(self):
         # the per-trace reference: same model, start and schedule, with
@@ -134,24 +165,26 @@ class TestFitDecays:
                 lambda q: q[2] + q[1] * np.exp(-q[0] * t) - y, start)
             assert p[0] == pytest.approx(ref.parameters["p0"], rel=1e-8)
 
-    def test_start_is_the_log_linear_slope(self):
-        # the per-trace reference rule: slope of log(p - min) over the
-        # points above 5 % of the maximum, else 2/span
+    def test_start_is_the_integral_equation_solve(self):
+        # the per-trace reference rule: with y less its first point and S
+        # its trapezoid integral, least squares of y on (1, t, S) gives
+        # -rate, else 2/span; then least squares of y on (1, exp(-rate*t))
+        integrate = pytest.importorskip("scipy.integrate")
         times, data = noisy_decays(32, 40, 6)
-        data[0] = 0.5                           # flat: too few points
-        data[1] = np.linspace(0.2, 0.9, 25)     # rising: slope not negative
-        starts = fitting._decay_start(times, data)
+        data[0] = 0.5                                    # flat: no rate
+        data[1] = 0.2 * np.exp(times[1] / times[1, -1])  # rising: rate not positive
+        with np.errstate(all="ignore"):
+            starts = fitting._decay_start(times, data)
         for t, y, start in zip(times, data, starts):
-            decaying = y - y.min()
-            sel = decaying > max(decaying.max() * 0.05, 1e-12)
-            rate = 2.0 / t[-1]
-            if sel.sum() >= 3:
-                slope = fitting.linear_fit(
-                    t[sel], np.log(decaying[sel])).parameters["slope"]
-                rate = -slope if slope < 0 else rate
-            assert start == pytest.approx([rate, y[0] - y.min(), y.min()],
-                                          rel=1e-12, abs=1e-300)
-        assert starts[0, 0] == 2.0 / times[0, -1]
+            shifted = y - y[0]
+            area = integrate.cumulative_trapezoid(shifted, t, initial=0.0)
+            coef = np.linalg.lstsq(np.stack([np.ones_like(t), t, area], axis=1),
+                                   shifted, rcond=None)[0]
+            rate = -coef[2] if -coef[2] > 0 else 2.0 / t[-1]
+            (offset, amplitude), *_ = np.linalg.lstsq(
+                np.stack([np.ones_like(t), np.exp(-rate * t)], axis=1), y, rcond=None)
+            assert start == pytest.approx([rate, amplitude, offset], rel=1e-9, abs=1e-12)
+        assert starts[0].tolist() == [2.0 / times[0, -1], 0.0, 0.5]
         assert starts[1, 0] == 2.0 / times[1, -1]
 
     def test_unformed_rows_are_flagged_not_raised(self):
@@ -366,58 +399,16 @@ def solve(problem):
     return fitting.least_squares(residuals, start, names=names)
 
 
-def ramsey_trace():
-    rate, detuning = 2 * math.pi * 2.1e6, 2 * math.pi * 5e6
-    times = np.linspace(0.0, 5.0 / rate, 101)
-    return experiments.simulate_trace("ramsey", rate, detuning, times,
-                                      n_averages=400_000, seed=14)
-
-
-def lm_batches(monkeypatch, fraction, fit):
-    """Every batch the LM loop returns while ``fit()`` runs with the given
-    collapse fraction; 0 never collapses, which is the old schedule."""
-    batches, loop = [], fitting._levenberg_marquardt
-
-    def recording(*args):
-        batches.append(loop(*args))
-        return batches[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(fitting, "_COLLAPSE_FRACTION", fraction)
-        patch.setattr(fitting, "_levenberg_marquardt", recording)
-        fit()
-    return batches
-
-
-class TestCollapseExit:
-    """Stopping a row once its scaled step cannot move it ends the same
-    fits as waiting for the damping to pass 1e30, bit for bit."""
-
-    @pytest.mark.parametrize("fit", [
-        lambda: solve(calibration_problem(stark_sweep("readout"), "readout")),
-        lambda: solve(calibration_problem(stark_sweep("readout", noise=0.01), "readout")),
-        lambda: solve(calibration_problem(stark_sweep("antenna", noise=0.01), "antenna")),
-        lambda: solve(floor_problem(floor_points())),
-        lambda: fitting.fit_decays(*noisy_decays(1200, 400, 9)),
-        lambda: experiments.fit_trace(ramsey_trace()),
-    ], ids=["readout", "noisy-readout", "antenna", "floor", "decays", "ramsey"])
-    def test_same_fits_in_no_more_trials(self, monkeypatch, fit):
-        old = lm_batches(monkeypatch, 0.0, fit)
-        new = lm_batches(monkeypatch, fitting._COLLAPSE_FRACTION, fit)
-        assert len(new) == len(old) > 0
-        for a, b in zip(new, old):
-            assert a.parameters.tobytes() == b.parameters.tobytes()
-            assert a.covariance.tobytes() == b.covariance.tobytes()
-            assert a.residual_norm.tobytes() == b.residual_norm.tobytes()
-            assert np.array_equal(a.formed, b.formed)
-            assert np.all(a.n_iterations <= b.n_iterations)
-            assert np.all(a.converged >= b.converged)
+class TestStoppingRule:
+    """A row stops once one trial, accepted or not, moves it and changes
+    its residual norm by less than the tolerance."""
 
     def test_noiseless_calibration_trial_count(self, monkeypatch):
         # 10 accepted steps reach alpha = 0.389; the rejected trials then
-        # raise the damping from 1e-13 until the step collapses at 1e17,
-        # where the old schedule waited for 1e30.  Normal equations are
-        # formed at the start, after each accepted step and for the covariance.
+        # raise the damping until a trial moves the row by less than the
+        # tolerance (the collapse exit waited for 1e17, the plain schedule
+        # for 1e30).  Normal equations are formed at the start, after each
+        # accepted step and for the covariance.
         formed = []
         normal_equations = fitting._ForwardDifferences.normal_equations
 
@@ -433,7 +424,5 @@ class TestCollapseExit:
             return result.n_iterations, len(formed) - 2, result.parameters["alpha"]
 
         trials, accepted, alpha = fit()
-        assert (trials, accepted) == (41, 10)
+        assert (trials, accepted) == (26, 10)
         assert alpha == pytest.approx(0.389, rel=1e-12)
-        monkeypatch.setattr(fitting, "_COLLAPSE_FRACTION", 0.0)
-        assert fit() == (53, 10, alpha)

@@ -190,6 +190,18 @@ class TestSimulateMicroscopic:
         with pytest.raises(DomainError):
             tlssim.simulate_microscopic([], OMEGA_Q, 1.0, 50.0, 10.0, seed=1)
 
+    def test_nan_duration_is_refused(self):
+        ensemble = tlssim.sample_ensemble(make_config())
+        with pytest.raises(DomainError, match="duration"):
+            tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, math.nan, 10.0, seed=1)
+
+    @pytest.mark.parametrize("ensemble", [[], "sampled"], ids=["empty", "sampled"])
+    def test_nan_temperature_is_refused(self, ensemble):
+        if ensemble == "sampled":
+            ensemble = tlssim.sample_ensemble(make_config())
+        with pytest.raises(DomainError, match="temperature"):
+            tlssim.simulate_microscopic(ensemble, OMEGA_Q, math.nan, 1200.0, 10.0, seed=1)
+
     def test_ensemble_produces_one_over_f_spectra(self):
         # Log-uniform switching rates spanning 1e-5..1e-1 Hz superpose
         # Lorentzians into a ~1/omega spectrum across the window of a
