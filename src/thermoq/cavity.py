@@ -89,8 +89,8 @@ class ThermalPort:
     def __post_init__(self):
         if self.label not in PORT_LABELS:
             raise DomainError(f"port label must be one of {PORT_LABELS}, got {self.label!r}")
-        if self.temperature < 0:
-            raise DomainError("port temperature must be >= 0")
+        if not self.temperature >= 0:
+            raise DomainError(f"port temperature must be >= 0, got {self.temperature}")
         if not self.kappa > 0:
             raise DomainError("port kappa must be > 0")
         if not 0 < self.attenuation <= 1:

@@ -65,7 +65,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open(path, "rb") as stream:
+        return hashlib.file_digest(stream, "sha256").hexdigest()
 
 
 def _integer_at_least(minimum: int):

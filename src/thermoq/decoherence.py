@@ -116,8 +116,8 @@ def gamma1_antenna_model(n_a: float, gamma1_0: float, gamma1_a: float) -> float:
     Equal to (gamma1_0 - gamma1_a) + gamma1_a (2 n_a + 1); evaluated as
     gamma1_0 + 2 n_a gamma1_a so the vacuum baseline is exact.
     """
-    if n_a < 0:
-        raise DomainError("n_a must be >= 0")
+    if not n_a >= 0:
+        raise DomainError(f"n_a must be >= 0, got {n_a}")
     if gamma1_a > gamma1_0:
         raise InconsistencyError("gamma1_a exceeds gamma1_0: vacuum contribution inconsistent")
     return gamma1_0 + 2 * n_a * gamma1_a
@@ -129,8 +129,10 @@ def gamma1_dispersive_model(n_r: float, n_q: float, rates: ComponentRates,
 
     gamma1_0 + gamma1_P (2 n_q + 1) + (gamma1_delta - gamma_mix)(2 n_r + 1).
     """
-    if n_r < 0 or n_q < 0:
-        raise DomainError("photon numbers must be >= 0")
+    if not n_r >= 0:
+        raise DomainError(f"n_r must be >= 0, got {n_r}")
+    if not n_q >= 0:
+        raise DomainError(f"n_q must be >= 0, got {n_q}")
     return (
         gamma1_0
         + rates.gamma1_purcell * (2 * n_q + 1)
@@ -140,8 +142,8 @@ def gamma1_dispersive_model(n_r: float, n_q: float, rates: ComponentRates,
 
 def delta_gamma1_res(n_r: float, rates: ComponentRates) -> float:
     """Resonator-photon-dependent part 2 n_r (gamma1_delta - gamma_mix)."""
-    if n_r < 0:
-        raise DomainError("n_r must be >= 0")
+    if not n_r >= 0:
+        raise DomainError(f"n_r must be >= 0, got {n_r}")
     return 2 * n_r * (rates.gamma1_sideband - rates.gamma_mix)
 
 
@@ -172,8 +174,8 @@ def first_order_dissipation_param(lambda_star: float, geometry: CouplingGeometry
 def dephasing_first_order(T_a: float, lambda_star: float, geometry: CouplingGeometry,
                           omega_q0: float) -> float:
     """First-order flux dephasing rate [D1 M_a/Phi0]^2 k_B T_a / Z0 (dc limit)."""
-    if T_a < 0:
-        raise DomainError("temperature must be >= 0")
+    if not T_a >= 0:
+        raise DomainError(f"T_a must be >= 0: no rate at temperature {T_a} K")
     d1, _ = transfer_functions(lambda_star, omega_q0)
     return (d1 * geometry.M_a / Phi0) ** 2 * k_B * T_a / geometry.Z0
 
@@ -185,8 +187,8 @@ def dephasing_second_order(T_a: float, geometry: CouplingGeometry) -> float:
     Independent of omega_q0 (the transfer-function route, in which
     omega_q0 cancels, is ``dephasing_second_order_transfer``).
     """
-    if T_a < 0:
-        raise DomainError("temperature must be >= 0")
+    if not T_a >= 0:
+        raise DomainError(f"T_a must be >= 0: no rate at temperature {T_a} K")
     prefactor = (math.pi**2 / (4 * math.sqrt(3))) * geometry.M_a**2 / (geometry.L_loop * geometry.Z0)
     try:
         rate = TWO_PI * prefactor**2 * (k_B * T_a / hbar) ** 3

@@ -13,29 +13,33 @@ platform gets "\n" line ends.
 
 The exact functions ``_render_hz`` and ``_parse_hz`` (``Decimal`` and
 ``Fraction``), ``_render_float`` and ``float`` are the reference.  Rows
-travel as bytes, in blocks of ``_BLOCK`` rows, without a Python string
-per row:
+travel as bytes, without a Python string per row:
 
-- Writing turns each column of a block into a NUL-padded (rows, width)
-  uint8 matrix.  The 17-digit coefficient and decimal exponent come from
-  a double-double, (omega/2pi, its residual) for Hz and (x, 0) for plain
-  columns (Dekker's error-free product; Dekker 1971, Ogita, Rump & Oishi
-  2005).  Its digits are placed by Decimal's layout for Hz and by
-  ``'g'``'s, less trailing zeros, for plain columns; the block is
-  written with one ``tobytes`` once the padding is dropped.
-- Reading splits the file at its "," and "\n" bytes and parses every
-  token straight from the file buffer: its digits times a power of ten,
-  times 2pi for Hz, as a double-double.  A file holding a blank line, a
-  ragged row, or any byte outside printable ASCII but "\n" (every other
-  line break of ``str.splitlines`` among them) is split line by line as
-  text instead, which names the first bad row.
+- Writing turns each column of a block of ``_BLOCK`` rows into a
+  NUL-padded (rows, width) uint8 matrix.  The 17-digit coefficient and
+  decimal exponent come from a double-double, (omega/2pi, its residual)
+  for Hz and (x, 0) for plain columns (Dekker's error-free product;
+  Dekker 1971, Ogita, Rump & Oishi 2005).  Its digits are placed by
+  Decimal's layout for Hz and by ``'g'``'s, less trailing zeros, for
+  plain columns; the block is written with one ``tobytes`` once the
+  padding is dropped.
+- Reading copies the file, in chunks of at most ``_CHUNK`` bytes cut
+  after a "\n", into one zero-padded buffer, splits each chunk at its ","
+  and "\n" bytes and parses every token straight from the buffer: its
+  digits times a power of ten, times 2pi for Hz, as a double-double.
+  Uncertified tokens are parsed once every chunk has been split.  A file
+  holding a blank line, a ragged row, an empty token, no final "\n" or
+  any byte outside printable ASCII but "\n" (every other line break of
+  ``str.splitlines`` among them) is split line by line as text instead,
+  which names the first bad row; the rows it keeps take the same chunk
+  loop.
 
 A row keeps the fast result only when it is certified to be the exact
 function's, i.e. when it lies clear of every rounding tie.  Every other
 row goes through the exact function: ties and near-ties, Hz quotients
 that Decimal writes with fewer than 17 digits, zeros, magnitudes beyond
 1e+-240, tokens outside the strict form ``-?d+(.d+)?([Ee][+-]d{1,3})?``
-with at most 18 significant digits, and every block under
+with at most 18 significant digits, and every block or chunk under
 ``_FAST_MIN_ROWS`` rows.  The bytes on disk and the values read back are
 the same as with the exact functions alone.  A non-finite value is
 refused before its file is opened, since no reader would take it back.
@@ -46,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,8 +63,11 @@ from .spectral import Spectrum
 from .tlssim import TimeSeries
 
 _TWO_PI_EXACT = Fraction(TWO_PI)
+_TWO_PI_DECIMAL = Decimal(TWO_PI)
+_HZ_CONTEXT = Context(prec=17)  # the Hz quotient's own, whatever the caller's context
 
-_BLOCK = 8192          # rows per vectorised step; bounds the temporaries
+_BLOCK = 8192          # rows per vectorised write step; bounds the temporaries
+_CHUNK = 2**18         # bytes per read step, cut after a "\n"; bounds the temporaries
 _FAST_MIN_ROWS = 64    # shorter blocks go row by row: numpy's fixed cost dominates
 # the fast path takes magnitudes within 10**+-_FAST_DECADES, where the
 # Dekker split, the power-of-ten table and every low part stay clear of
@@ -88,9 +95,7 @@ def _render_hz(omega: float) -> str:
     """
     if omega == 0.0:
         return "-0" if math.copysign(1.0, omega) < 0 else "0"
-    with localcontext() as ctx:
-        ctx.prec = 17
-        return str(Decimal(omega) / Decimal(TWO_PI))
+    return str(_HZ_CONTEXT.divide(Decimal(omega), _TWO_PI_DECIMAL))
 
 
 def _parse_hz(token: str) -> float:
@@ -332,24 +337,6 @@ def _parse_block(stream, starts, length, scale) -> tuple:
     return np.where(negative, -value, value), ok
 
 
-def _parse_column(stream, starts, length, numbers, name, hz):
-    """One column's values; a token the fast path does not certify goes
-    through the exact parse, which names its row if it fails."""
-    parse = _parse_hz if hz else float
-    text = memoryview(stream)
-    values = np.empty(starts.size)
-    for start in range(0, starts.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        fast, certified = _parse_block(stream, starts[block], length[block],
-                                       TWO_PI if hz else 1.0)
-        values[block] = fast
-        exact = start + np.flatnonzero(~certified)
-        for i, begin, end in zip(exact.tolist(), starts[exact].tolist(),
-                                 (starts[exact] + length[exact]).tolist()):
-            values[i] = _parse(parse, str(text[begin:end], "utf-8"), numbers[i], name)
-    return values
-
-
 @dataclass(frozen=True)
 class Table:
     """One CSV format: its header and the names of the columns kept in Hz."""
@@ -382,36 +369,73 @@ class Table:
 
     def read(self, path) -> list:
         """Return one float array per header column (rad/s for Hz)."""
-        numbers, stream, ends = self._split(Path(path).read_bytes())
-        width = len(self.header)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        length = ends - starts
-        stream = np.concatenate((stream, np.zeros(_MAX_TOKEN, dtype=np.uint8)))
-        return [_parse_column(stream, np.ascontiguousarray(starts[i::width]),
-                              np.ascontiguousarray(length[i::width]), numbers, name,
-                              name in self.hz)
-                for i, name in enumerate(self.header)]
-
-    def _split(self, data: bytes) -> tuple:
-        """Check the header and every row's width; return the row numbers,
-        the data rows as a uint8 stream in which every token ends in "," or
-        "\n", and the positions of those separators."""
-        width = len(self.header)
+        data = Path(path).read_bytes()
         head = (",".join(self.header) + "\n").encode()
-        stream = np.frombuffer(data, dtype=np.uint8)[len(head):]
-        if data.startswith(head) and stream.size:
-            if stream[-1] != 10:
-                stream = np.append(stream, np.uint8(10))
-            ends = np.flatnonzero((stream == 44) | (stream == 10))
-            rows = ends.size // width
-            # every line holds width tokens, none of them empty, and no
-            # control or non-ASCII byte but its "\n" (nor any other line
-            # break of str.splitlines)
-            if (ends.size == rows * width and np.diff(ends, prepend=-1).min() > 1
-                    and ((stream[ends] == 10).reshape(rows, width)
+        if data.startswith(head) and len(data) > len(head):
+            columns = self._parse_rows(data, len(head))
+            if columns is not None:
+                return columns
+        numbers, stream = self._lines(data)
+        return self._parse_rows(stream, 0, numbers)
+
+    def _parse_rows(self, data: bytes, begin: int, numbers=None):
+        """One float array per column from the rows of ``data[begin:]``, in
+        chunks of about ``_CHUNK`` bytes cut after a "\n".  Without row
+        ``numbers`` (data row j is file row j + 2), None is returned at the
+        first chunk the line-by-line split would cut otherwise.  Uncertified
+        tokens are parsed after the last chunk, column by column."""
+        width = len(self.header)
+        columns = [np.empty(data.count(b"\n", begin)) for _ in self.header]
+        pending = [[] for _ in self.header]  # (row, first byte, end) of each exact parse
+        buffer = np.zeros(0, dtype=np.uint8)
+        row = 0
+        while begin < len(data):
+            end = len(data)
+            if end - begin > _CHUNK:  # cut after a "\n", or after the row's own
+                end = (data.rfind(b"\n", begin, begin + _CHUNK) + 1
+                       or data.find(b"\n", begin + _CHUNK) + 1 or end)
+            size = end - begin
+            if buffer.size < size + _MAX_TOKEN:  # one buffer for every chunk
+                buffer = np.empty(size + _MAX_TOKEN, dtype=np.uint8)
+            buffer[:size] = np.frombuffer(data, dtype=np.uint8, count=size, offset=begin)
+            buffer[size:size + _MAX_TOKEN] = 0
+            chunk = buffer[:size]
+            ends = np.flatnonzero((chunk == 44) | (chunk == 10))
+            count = ends.size // width
+            # every line ends in "\n" and holds width tokens, none of them
+            # empty, and no control or non-ASCII byte but its "\n" (nor any
+            # other line break of str.splitlines)
+            if numbers is None and not (
+                    chunk[-1] == 10 and ends.size == count * width
+                    and np.diff(ends, prepend=-1).min() > 1
+                    and ((chunk[ends] == 10).reshape(count, width)
                          == (np.arange(width) == width - 1)).all()
-                    and np.count_nonzero(stream - np.uint8(32) >= 96) == rows):
-                return range(2, rows + 2), stream, ends
+                    and np.count_nonzero(chunk - np.uint8(32) >= 96) == count):
+                return None
+            ends = ends.reshape(count, width)
+            for i, name in enumerate(self.header):
+                starts = ends[:, i - 1] + 1 if i else np.concatenate(([0], ends[:-1, -1] + 1))
+                length = ends[:, i] - starts
+                fast, certified = _parse_block(buffer[:size + _MAX_TOKEN], starts, length,
+                                               TWO_PI if name in self.hz else 1.0)
+                columns[i][row:row + count] = fast
+                exact = np.flatnonzero(~certified)
+                pending[i] += zip((row + exact).tolist(), (begin + starts[exact]).tolist(),
+                                  (begin + ends[exact, i]).tolist())
+            row += count
+            begin = end
+        for values, name, tokens in zip(columns, self.header, pending):
+            parse = _parse_hz if name in self.hz else float
+            for j, first, last in tokens:
+                values[j] = _parse(parse, data[first:last].decode("utf-8"),
+                                   j + 2 if numbers is None else numbers[j], name)
+        return columns
+
+    def _lines(self, data: bytes) -> tuple:
+        """Split the file line by line as text, skipping blank lines and
+        naming the first bad row; return the row numbers and the rows as
+        one "\n"-terminated byte stream."""
+        width = len(self.header)
         try:
             lines = data.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
@@ -432,8 +456,7 @@ class Table:
             rows.append(line)
         if not rows:
             raise CsvFormatError("row 2: no data rows")
-        stream = np.frombuffer(("\n".join(rows) + "\n").encode(), dtype=np.uint8)
-        return numbers, stream, np.flatnonzero((stream == 44) | (stream == 10))
+        return numbers, ("\n".join(rows) + "\n").encode()
 
 
 TIME_SERIES = Table(("time_s", "gamma1_hz"), hz=("gamma1_hz",))
@@ -458,8 +481,12 @@ def read_time_series(path) -> TimeSeries:
     dt = times[1] - times[0]
     if not dt > 0:
         raise CsvFormatError("row 3: time column must be strictly increasing")
-    grid = times[0] + dt * np.arange(times.size)
-    if not np.allclose(times, grid, rtol=0.0, atol=1e-9 * dt):
+    # |times - (t0 + dt*k)| <= 1e-9*dt with one temporary; NaN fails it
+    grid = np.arange(times.size, dtype=float)
+    grid *= dt
+    grid += times[0]
+    grid -= times
+    if not np.abs(grid, out=grid).max() <= 1e-9 * dt:
         raise CsvFormatError("time column is not uniformly sampled")
     return TimeSeries(t0=float(times[0]), dt=float(dt), values=values)
 

@@ -26,7 +26,7 @@ _EXP_SWITCH = 700.0
 def _check_omega_temp(omega: float, T: float) -> None:
     if not omega > 0:
         raise DomainError(f"omega must be > 0, got {omega}")
-    if T < 0:
+    if not T >= 0:
         raise DomainError(f"temperature must be >= 0, got {T}")
 
 
@@ -71,6 +71,6 @@ def second_order_psd(omega: float, T: float) -> float:
 
 def dc_limits(T: float) -> tuple[float, float]:
     """Low-frequency limits (k_B*T, 2 pi k_B^3 T^3 / 3 hbar) of the two densities."""
-    if T < 0:
+    if not T >= 0:
         raise DomainError(f"temperature must be >= 0, got {T}")
     return k_B * T, 2 * math.pi * k_B**3 * T**3 / (3 * hbar)

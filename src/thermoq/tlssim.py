@@ -240,8 +240,8 @@ def simulate_phenomenological(mean: float, beta: float, knee: float, white_sigma
     """
     if not 0 <= beta <= 2:
         raise DomainError("beta must lie in [0, 2]")
-    if white_sigma < 0:
-        raise DomainError("white_sigma must be >= 0")
+    if not white_sigma >= 0:
+        raise DomainError(f"white_sigma must be >= 0, got {white_sigma}")
     if not knee > 0:
         raise DomainError("knee must be > 0")
     if not dt > 0:

@@ -113,6 +113,10 @@ class TestLorentzianFilter:
 
 
 class TestSteadyStatePhotons:
+    def test_nan_port_temperature_is_refused(self):
+        with pytest.raises(DomainError, match="port temperature must be >= 0, got nan"):
+            cavity.ThermalPort("readout", math.nan, KAPPA_X, 0.389)
+
     def test_single_port_is_attenuated_occupation(self):
         omega = TWO_PI * 6.07e9
         port = cavity.ThermalPort("readout", 1.5, KAPPA_X, 0.389)

@@ -138,6 +138,10 @@ class TestGamma1AntennaModel:
         with pytest.raises(InconsistencyError):
             decoherence.gamma1_antenna_model(0.0, TWO_PI * 500e3, TWO_PI * 820e3)
 
+    def test_nan_photon_number_is_refused(self):
+        with pytest.raises(DomainError, match="n_a must be >= 0, got nan"):
+            decoherence.gamma1_antenna_model(math.nan, TWO_PI * 3.9e6, TWO_PI * 820e3)
+
 
 class TestGamma1DispersiveModel:
     def rates(self):
@@ -174,6 +178,12 @@ class TestGamma1DispersiveModel:
             d2 = f(2.0) - f(1.0)
             assert d1 == pytest.approx(d2, rel=1e-9)
 
+    @pytest.mark.parametrize("n_r, n_q, name", [(math.nan, 0.0, "n_r"), (0.0, math.nan, "n_q"),
+                                                (-1.0, 0.0, "n_r"), (0.0, -1.0, "n_q")])
+    def test_bad_photon_number_is_named(self, n_r, n_q, name):
+        with pytest.raises(DomainError, match=f"^{name} must be >= 0, got {n_r + n_q}$"):
+            decoherence.gamma1_dispersive_model(n_r, n_q, self.rates(), TWO_PI * 3.9e6)
+
 
 class TestDeltaGamma1Res:
     def test_zero_and_linearity(self):
@@ -183,6 +193,11 @@ class TestDeltaGamma1Res:
         v1 = decoherence.delta_gamma1_res(1.0, rates)
         assert v2 == pytest.approx(2 * v1, rel=1e-12)
         assert v1 == pytest.approx(-TWO_PI * 17e3, rel=2e-2)
+
+    def test_nan_photon_number_is_refused(self):
+        rates = decoherence.component_rates(make_params(), S_DELTA_REF)
+        with pytest.raises(DomainError, match="n_r must be >= 0, got nan"):
+            decoherence.delta_gamma1_res(math.nan, rates)
 
 
 class TestInvertSidebandPsd:
@@ -242,6 +257,10 @@ class TestDephasingFirstOrder:
         rate = decoherence.dephasing_first_order(0.1, 0.25, geom, OMEGA_Q0)
         assert rate == pytest.approx(alpha * TWO_PI * k_B * 0.1 / hbar, rel=1e-12)
 
+    def test_nan_temperature_is_refused(self):
+        with pytest.raises(DomainError, match="T_a must be >= 0: no rate at temperature nan K"):
+            decoherence.dephasing_first_order(math.nan, 0.25, make_geometry(), OMEGA_Q0)
+
 
 class TestDephasingSecondOrder:
     def test_cubic_scaling(self):
@@ -260,6 +279,10 @@ class TestDephasingSecondOrder:
         assert decoherence.dephasing_second_order(0.05, geom) == pytest.approx(
             DEPHASING_2ND_50MK, rel=1e-6
         )
+
+    def test_nan_temperature_is_refused_by_the_guard(self):
+        with pytest.raises(DomainError, match="T_a must be >= 0: no rate at temperature nan K"):
+            decoherence.dephasing_second_order(math.nan, make_geometry())
 
     @pytest.mark.parametrize("T", [1e100, 1e300, math.nan])
     def test_non_finite_rate_names_the_temperature(self, T):

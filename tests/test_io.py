@@ -7,6 +7,7 @@ write-then-read round trip is the identity on IEEE doubles.
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -282,6 +283,19 @@ def reference_read(table, path):
             for name, tokens in zip(table.header, zip(*rows))]
 
 
+def assert_reads_as_reference(table, path):
+    """Table.read gives reference_read's values, or raises its error."""
+    try:
+        expected = reference_read(table, path)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as excinfo:
+            table.read(path)
+        assert str(excinfo.value) == str(exc)
+        return
+    for read, want in zip(table.read(path), expected, strict=True):
+        assert read.tobytes() == want.tobytes()
+
+
 # tokens near the writer's grammar, and anything else the reader may meet
 TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(io._render_hz),
@@ -314,15 +328,7 @@ def test_reader_grammar_matches_exact_parse(tmp_path_factory, extra, bad_temp):
     path = tmp_path_factory.mktemp("grammar") / "stark.csv"
     path.write_text("temp_k,shift_hz\n" + "".join(f"{a},{b}\n" for a, b in rows),
                     encoding="utf-8")
-    try:
-        expected = reference_read(io.STARK_SWEEP, path)
-    except CsvFormatError as exc:
-        with pytest.raises(CsvFormatError) as excinfo:
-            io.STARK_SWEEP.read(path)
-        assert str(excinfo.value) == str(exc)
-        return
-    for read, want in zip(io.STARK_SWEEP.read(path), expected):
-        assert read.tobytes() == want.tobytes()
+    assert_reads_as_reference(io.STARK_SWEEP, path)
 
 
 def edge_case_files():
@@ -362,15 +368,96 @@ EDGE_CASES = edge_case_files()
 def test_splitter_matches_line_by_line_read(tmp_path, name):
     path = tmp_path / "stark.csv"
     path.write_bytes(EDGE_CASES[name])
+    assert_reads_as_reference(io.STARK_SWEEP, path)
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+@pytest.mark.parametrize("chunk", [1, 40, 512])
+def test_splitter_matches_line_by_line_read_in_chunks(tmp_path, monkeypatch, chunk, name):
+    """The same files cut into chunks of one row (every row is longer),
+    of a row or two, and of a dozen rows."""
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    test_splitter_matches_line_by_line_read(tmp_path, name)
+
+
+# tokens the fast parse never certifies: zeros, more than 18 significant
+# digits, beyond 1e+-240 and longer than _MAX_TOKEN
+UNCERTIFIED = ["0", "-0", "1234567.8901234567890123", "1e-300", "0." + "0" * 40 + "1"]
+
+
+def chunk_files():
+    """(id, bytes) of STARK_SWEEP files of about six 4 KiB chunks, each
+    with its trouble in a chosen chunk."""
+    head = b"temp_k,shift_hz\n"
+    rows = [f"{io._render_float(0.05 * i)},{io._render_hz(TWO_PI * 1e5 * (i - 300.5))}\n"
+            for i in range(600)]
+    last = len(rows) - 1
+
+    def body(lines):
+        return head + "".join(lines).encode()
+
+    bad_then_ragged = list(rows)
+    bad_then_ragged[5] = "0.25,oops\n"       # chunk 1
+    bad_then_ragged[300] = "0.25\n"          # chunk 3
+    uncertified = [f"{UNCERTIFIED[i % len(UNCERTIFIED)]},{UNCERTIFIED[-i % len(UNCERTIFIED)]}\n"
+                   if i % 37 == 0 else row for i, row in enumerate(rows)]
+    long_token = list(rows)
+    long_token[200] = "0." + "0" * 5000 + "25," + rows[200].split(",")[1]
+    return {
+        "lf": body(rows),
+        "bad_token_then_ragged_row": body(bad_then_ragged),
+        "bad_token_only": body(bad_then_ragged[:300] + rows[301:]),
+        "cr_in_last_chunk": body(rows[:last] + [rows[last].replace("\n", "\r\n")]),
+        "blank_line_in_last_chunk": body(rows[:last] + ["\n", rows[last]]),
+        "no_final_newline": body(rows)[:-1],
+        "uncertified_in_every_chunk": body(uncertified),
+        "row_longer_than_a_chunk": body(long_token),
+    }
+
+
+CHUNK_FILES = chunk_files()
+
+
+@pytest.mark.parametrize("name", CHUNK_FILES)
+@pytest.mark.parametrize("chunk", [1, 4096, io._CHUNK])
+def test_chunked_read_matches_line_by_line_read(tmp_path, monkeypatch, chunk, name):
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    path = tmp_path / "stark.csv"
+    path.write_bytes(CHUNK_FILES[name])
+    assert_reads_as_reference(io.STARK_SWEEP, path)
+
+
+def test_structure_is_checked_before_any_token(tmp_path, monkeypatch):
+    """A bad token in the first chunk does not hide a ragged row in the
+    third: the row count is reported, as by a whole-file check."""
+    monkeypatch.setattr(io, "_CHUNK", 4096)
+    path = tmp_path / "stark.csv"
+    path.write_bytes(CHUNK_FILES["bad_token_then_ragged_row"])
+    assert path.stat().st_size > 3 * io._CHUNK
+    with pytest.raises(CsvFormatError, match=r"^row 302: expected 2 columns, got 1$"):
+        io.STARK_SWEEP.read(path)
+    path.write_bytes(CHUNK_FILES["bad_token_only"])
+    with pytest.raises(CsvFormatError,
+                       match=r"^row 7: could not parse 'oops' in column 'shift_hz'$"):
+        io.STARK_SWEEP.read(path)
+
+
+def test_time_series_read_memory(tmp_path):
+    """Reading holds the file's bytes, the two columns (16 B a row) and
+    one chunk's temporaries, not whole-file masks and index arrays."""
+    n = 2**17
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(8)))
+    path = tmp_path / "series.csv"
+    io.write_time_series(path, TimeSeries(0.0, 10.0,
+                                          TWO_PI * (3.9e6 + 215e3 * rng.standard_normal(n))))
+    io.read_time_series(path)  # builds the cached power-of-ten table
+    tracemalloc.start()
     try:
-        expected = reference_read(io.STARK_SWEEP, path)
-    except CsvFormatError as exc:
-        with pytest.raises(CsvFormatError) as excinfo:
-            io.STARK_SWEEP.read(path)
-        assert str(excinfo.value) == str(exc)
-        return
-    for read, want in zip(io.STARK_SWEEP.read(path), expected):
-        assert read.tobytes() == want.tobytes()
+        io.read_time_series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - path.stat().st_size) / n <= 48
 
 
 def test_one_column_blank_line_is_skipped(tmp_path):
@@ -380,6 +467,16 @@ def test_one_column_blank_line_is_skipped(tmp_path):
                     encoding="utf-8")
     for read, want in zip(table.read(path), reference_read(table, path)):
         assert read.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, io._CHUNK])
+def test_one_column_last_row_without_newline_is_read(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    table = io.Table(("x",))
+    path = tmp_path / "x.csv"
+    path.write_text("x\n" + "\n".join(str(i) for i in range(1, 100)), encoding="utf-8")
+    read, = table.read(path)
+    assert read.tolist() == list(range(1, 100))
 
 
 def test_invalid_utf8_names_its_row(tmp_path):

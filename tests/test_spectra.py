@@ -48,6 +48,10 @@ class TestBoseOccupation:
         with pytest.raises(DomainError):
             spectra.bose_occupation(TWO_PI * 1e9, -0.1)
 
+    def test_nan_temperature_is_refused(self):
+        with pytest.raises(DomainError, match="temperature must be >= 0, got nan"):
+            spectra.bose_occupation(TWO_PI * 6e9, math.nan)
+
     def test_high_temperature_expansion(self):
         # n -> k_B T/(hbar omega) - 1/2 as T -> inf; check at hbar*omega/k_B*T = 1e-4
         T = 1.0
@@ -135,6 +139,10 @@ class TestDcLimits:
     def test_negative_temperature_rejected(self):
         with pytest.raises(DomainError):
             spectra.dc_limits(-0.1)
+
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(DomainError, match="temperature must be >= 0, got nan"):
+            spectra.dc_limits(math.nan)
 
 
 def test_everything_finite_over_working_range():

@@ -395,3 +395,8 @@ class TestSimulatePhenomenological:
             tlssim.simulate_phenomenological(0.0, 2.5, TWO_PI * 1e-3, 1.0, 1200.0, 1.0, seed=0)
         with pytest.raises(DomainError):
             tlssim.simulate_phenomenological(0.0, 1.0, TWO_PI * 1e-3, -1.0, 1200.0, 1.0, seed=0)
+
+    def test_nan_white_sigma_is_refused(self):
+        with pytest.raises(DomainError, match="white_sigma must be >= 0, got nan"):
+            tlssim.simulate_phenomenological(0.0, 1.0, TWO_PI * 1e-3, math.nan, 1200.0, 1.0,
+                                             seed=0)
