@@ -121,21 +121,21 @@ def fit_decay_traces(times, p_e):
     """
     times = np.atleast_2d(times)
     fits = fitting.fit_decays(times, p_e)
-    rate = np.where(fits.formed, fits.parameters[:, 0], np.nan)
-    return fits, *_failures(rate, fits.stderr("rate"), times[:, -1])
+    return fits, *_failures(fits, times[:, -1])
 
 
-def _failures(rate, rate_err, span):
+def _failures(fits, span):
     """The two trace-fit failure masks of ``fit_decay_traces``."""
-    no_decay = ~(np.asarray(rate) > 2 * rate_err)
+    rate = np.where(fits.formed, fits.parameters[:, 0], np.nan)
+    no_decay = ~(rate > 2 * fits.stderr("rate"))
     return no_decay, ~no_decay & (span * rate < 1.5)
 
 
 def fit_trace(trace: ExperimentTrace) -> fitting.FitResult:
     """Fit the matching decay model; returns rate with 1-sigma error.
 
-    Relaxation and echo traces go through ``fit_decay_traces`` as a
-    batch of one; Ramsey traces through ``fitting.least_squares``.
+    Relaxation and echo traces go through ``fitting.fit_decays`` and
+    Ramsey traces through ``fitting.fit_ramsey``, each as a batch of one.
     Raises NoDecayError when the fitted rate is not positive at 2 sigma
     (or the fit cannot be formed at all, e.g. on a flat trace), and
     DomainError when the record is too short or spans fewer than 1.5
@@ -144,34 +144,16 @@ def fit_trace(trace: ExperimentTrace) -> fitting.FitResult:
     times, p = trace.times, trace.p_e
     if times.size < 8:
         raise DomainError("trace fit needs at least 8 points")
-
     if trace.kind == "ramsey":
-        offset0 = float(p.mean())
-        amplitude0 = float(p[0] - offset0)
-
-        def residuals(params):
-            rate, detuning, amplitude, offset = params
-            model = offset + amplitude * np.exp(-rate * times) * np.cos(
-                detuning * times)
-            return model - p
-
-        try:
-            result = fitting.least_squares(
-                residuals, [2.0 / times[-1], trace.detuning, amplitude0, offset0],
-                names=("rate", "detuning", "amplitude", "offset"))
-        except FitError as exc:
-            raise NoDecayError(f"trace fit failed: {exc}") from exc
-        no_decay, short_span = _failures(result.parameters["rate"],
-                                         result.stderr("rate"), times[-1])
+        fits = fitting.fit_ramsey(times, p, trace.detuning)
     else:
-        fits, no_decay, short_span = fit_decay_traces(times, p)
-        result = fits.result(0)
-        no_decay, short_span = no_decay[0], short_span[0]
+        fits = fitting.fit_decays(times, p)
+    [no_decay], [short_span] = _failures(fits, times[-1])
     if no_decay:
         raise NoDecayError("trace fit failed or its rate is not positive at 2 sigma")
     if short_span:
         raise DomainError("trace spans fewer than 1.5 fitted decay constants")
-    return result
+    return fits.result(0)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,14 @@ whose damping passes 1e30 counts as converged instead.
 A row stops after 200 trial steps either way.
 Rows stop independently, a row whose fit cannot be formed is flagged
 instead of raised, and no row's arithmetic depends on the others, so a
-row fitted in a batch equals the same fit alone, bit for bit.  Two
-Jacobian providers feed the loop: analytic sums for
+row fitted in a batch equals the same fit alone, bit for bit.  Every
+Jacobian is analytic: the relaxation model
 offset + amplitude*exp(-rate*t) (``fit_decays``, started in closed form
-by ``_decay_start``), and forward differences of step
-max(1e-8, 1e-8*|q|) for any unconstrained row model (``fit_rows``, and
-``least_squares``, its batch of one).
+by ``_decay_start``) and the Ramsey model
+offset + amplitude*exp(-rate*t)*cos(detuning*t) (``fit_ramsey``).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ _REL_TOL = 1e-10
 _MAX_ITER = 200
 _DAMPING_0 = 1e-3
 DECAY_NAMES = ("rate", "amplitude", "offset")
+RAMSEY_NAMES = ("rate", "detuning", "amplitude", "offset")
 
 
 @dataclass
@@ -56,8 +56,9 @@ class Fits:
 
     ``parameters`` is (n, k) in ``param_names`` order and ``covariance``
     is (n, k, k).  ``formed`` is False for a row whose fit could not be
-    formed, and its other entries are then meaningless; ``errors`` holds
-    the ``FitError`` of each row the loop could not form, else None.
+    formed or has no finite covariance (no error bar); its other entries
+    are then meaningless.  ``errors`` holds the ``FitError`` of each row
+    the loop could not form, else None.
     """
 
     param_names: tuple[str, ...]
@@ -106,8 +107,7 @@ def _levenberg_marquardt(provider, q, names) -> Fits:
 
     For the parameter rows ``q`` of batch rows ``rows`` the provider gives
     ``residuals(q, rows)``, an (r, m) array, and ``normal_equations(q,
-    rows)``, J^T J and J^T r; ``norm(x)`` and ``variance(norm, dof)``
-    reduce residual rows.  Raises RankDeficiencyError when m < k.
+    rows)``, J^T J and J^T r.  Raises RankDeficiencyError when m < k.
     """
     n, k = q.shape
     errors = np.full(n, None, dtype=object)
@@ -127,7 +127,7 @@ def _levenberg_marquardt(provider, q, names) -> Fits:
     with np.errstate(all="ignore"):
         rows, qw, trial = np.arange(n), q.copy(), 0
         residual = provider.residuals(q, rows)
-        m, norm = residual.shape[1], provider.norm(residual)
+        m, norm = residual.shape[1], np.linalg.norm(residual, axis=1)
         del residual  # (n, m): not worth holding through the loop
         if m < k:
             raise RankDeficiencyError(f"{m} residuals cannot constrain {k} parameters")
@@ -165,14 +165,15 @@ def _levenberg_marquardt(provider, q, names) -> Fits:
             if rows.size == 0:
                 break
             q_trial = qw + step
-            norm_trial = provider.norm(provider.residuals(q_trial, rows))
+            norm_trial = np.linalg.norm(provider.residuals(q_trial, rows), axis=1)
             # a non-finite trial residual has a NaN or infinite norm
             accept = norm_trial < normw
             damping = np.where(accept, damping / 10.0, damping * 10.0)
             # the stopping test sees every trial, accepted or not; only a
             # rejected step takes damping past 1e30, the exit where q = 0
             rel_dres = np.abs(normw - norm_trial) / np.maximum(normw, 1e-300)
-            rel_step = provider.norm(step) / np.maximum(provider.norm(qw), 1e-300)
+            rel_step = (np.linalg.norm(step, axis=1)
+                        / np.maximum(np.linalg.norm(qw, axis=1), 1e-300))
             done = (damping > 1e30) | (norm_trial == 0.0) | (
                 (rel_dres < _REL_TOL) & (rel_step < _REL_TOL))
             np.copyto(qw, q_trial, where=accept[:, None])
@@ -190,73 +191,12 @@ def _levenberg_marquardt(provider, q, names) -> Fits:
             inverse, singular = _stacked(np.linalg.inv, normal)
             errors[rows[singular]] = RankDeficiencyError(
                 "singular normal equations at the solution")
-            variance = provider.variance(norm[rows], max(m - k, 1))
+            variance = norm[rows]**2 / max(m - k, 1)
             covariance[rows] = variance[:, None, None] * inverse
     return Fits(param_names=tuple(names), parameters=q, covariance=covariance,
                 residual_norm=norm, n_iterations=n_trials, converged=converged,
-                formed=np.equal(errors, None), errors=tuple(errors))
-
-
-@dataclass(frozen=True)
-class _ForwardDifferences:
-    """A row model with forward-difference Jacobians, all rows at once."""
-
-    model: object
-
-    @staticmethod
-    def norm(x):
-        # a BLAS dot per row, as np.linalg.norm of that row alone
-        return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-    @staticmethod
-    def variance(norm, dof):
-        # the scalar power: x**2 and x*x differ in the last bit on some inputs
-        return np.array([v**2 / dof for v in norm.tolist()])
-
-    def residuals(self, q, rows):
-        return np.asarray(self.model(q, rows), dtype=float)
-
-    def normal_equations(self, q, rows):
-        residual = self.residuals(q, rows)
-        jac = np.empty(residual.shape + (q.shape[1],))
-        steps = np.maximum(1e-8, 1e-8 * np.abs(q))
-        for i in range(q.shape[1]):
-            shifted = q.copy()
-            shifted[:, i] += steps[:, i]
-            jac[:, :, i] = (self.residuals(shifted, rows) - residual) / steps[:, i, None]
-        jac_t = jac.transpose(0, 2, 1)
-        return jac_t @ jac, (jac_t @ residual[:, :, None])[:, :, 0]
-
-
-def fit_rows(model, initial, *, names=None) -> Fits:
-    """Minimize the sum of squared residuals of every row of a batch.
-
-    ``initial`` holds the (n, k) starting parameter rows.  ``model(p,
-    rows)`` must return the (r, m) residual rows for the parameter rows
-    ``p`` (r, k) of batch rows ``rows``, indices into ``initial`` that
-    shrink as rows stop.  ``names`` optionally labels the parameters.
-    """
-    q = np.array(np.atleast_2d(initial), dtype=float)
-    names = tuple(f"p{i}" for i in range(q.shape[1])) if names is None else tuple(names)
-    return _levenberg_marquardt(_ForwardDifferences(model), q, names)
-
-
-def least_squares(model, initial, *, names=None) -> FitResult:
-    """Minimize the sum of squared residuals of ``model``.
-
-    ``model(p)`` must return the residual vector.  ``initial`` is the
-    starting parameter vector; ``names`` optionally labels the
-    parameters.
-
-    Raises RankDeficiencyError when the normal equations are singular
-    and ModelDomainError when the model returns non-finite residuals at
-    the starting point.
-    """
-    fits = fit_rows(lambda p, rows: np.atleast_1d(model(p[0]))[None], initial,
-                    names=names)
-    if not fits.formed[0]:
-        raise fits.errors[0]
-    return fits.result(0)
+                formed=np.equal(errors, None) & np.isfinite(covariance).all(axis=(1, 2)),
+                errors=tuple(errors))
 
 
 def _row_dot(a, b):
@@ -338,22 +278,69 @@ class _DecaySums:
         return normal, grad
 
 
-def fit_decays(times, data) -> Fits:
-    """Fit offset + amplitude*exp(-rate*t) to every row of ``data`` at once.
-
-    ``times`` and ``data`` are (n, m); the parameters come in
-    ``DECAY_NAMES`` order.  A row without a finite covariance is not
-    formed either, since it carries no error bar.
-    """
-    # C order keeps every row's sums in one order, whatever the batch
+def _batch(times, data):
+    """``times`` and ``data`` as matching (n, m) float rows in C order,
+    which keeps every row's sums in one order, whatever the batch."""
     times = np.ascontiguousarray(np.atleast_2d(times), dtype=float)
     data = np.ascontiguousarray(np.atleast_2d(data), dtype=float)
     if times.shape != data.shape:
         raise ValueError("times and data must have the same shape")
+    return times, data
+
+
+def fit_decays(times, data) -> Fits:
+    """Fit offset + amplitude*exp(-rate*t) to every row of ``data`` at once.
+
+    ``times`` and ``data`` are (n, m); the parameters come in
+    ``DECAY_NAMES`` order.
+    """
+    times, data = _batch(times, data)
     with np.errstate(all="ignore"):
         start = _decay_start(times, data)
-    fits = _levenberg_marquardt(_DecaySums(times, data), start, DECAY_NAMES)
-    return replace(fits, formed=fits.formed & np.isfinite(fits.covariance).all(axis=(1, 2)))
+    return _levenberg_marquardt(_DecaySums(times, data), start, DECAY_NAMES)
+
+
+class _RamseySums:
+    """offset + amplitude*exp(-rate*t)*cos(detuning*t) on the rows of
+    (times, data), with J^T J and J^T r from the analytic Jacobian columns
+    (-amplitude*t*e*c, -amplitude*t*e*s, e*c, 1), e = exp(-rate*t),
+    c = cos(detuning*t) and s = sin(detuning*t)."""
+
+    def __init__(self, times, data):
+        self.times, self.data = times, data
+
+    def residuals(self, q, rows):
+        times = self.times[rows]
+        return (q[:, 3:4] + q[:, 2:3] * np.exp(-q[:, 0:1] * times)
+                * np.cos(q[:, 1:2] * times) - self.data[rows])
+
+    def normal_equations(self, q, rows):
+        times = self.times[rows]
+        envelope = np.exp(-q[:, 0:1] * times)
+        phase = q[:, 1:2] * times
+        cos = np.cos(phase)
+        weighted = -q[:, 2:3] * times * envelope
+        jac = np.stack([weighted * cos, weighted * np.sin(phase), envelope * cos,
+                        np.ones_like(times)], axis=2)
+        jac_t = jac.transpose(0, 2, 1)
+        return jac_t @ jac, (jac_t @ self.residuals(q, rows)[:, :, None])[:, :, 0]
+
+
+def fit_ramsey(times, data, detuning) -> Fits:
+    """Fit offset + amplitude*exp(-rate*t)*cos(detuning*t) to every row of
+    ``data`` at once.
+
+    ``times`` and ``data`` are (n, m) and ``detuning`` is the programmed
+    fringe frequency (rad/s), shared or one per row.  Each row starts at
+    rate 2/span, the programmed detuning, amplitude = first point less the
+    row mean and offset = the row mean; the parameters come in
+    ``RAMSEY_NAMES`` order.
+    """
+    times, data = _batch(times, data)
+    offset = data.mean(axis=1)
+    start = np.stack([2.0 / times[:, -1], np.broadcast_to(detuning, offset.shape),
+                      data[:, 0] - offset, offset], axis=1)
+    return _levenberg_marquardt(_RamseySums(times, data), start, RAMSEY_NAMES)
 
 
 def linear_fit(x, y) -> FitResult:

@@ -84,8 +84,8 @@ class EnsembleConfig:
     jump_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.n_tls < 0:
-            raise DomainError("n_tls must be >= 0")
+        if not self.n_tls >= 0:
+            raise DomainError(f"n_tls must be >= 0, got {self.n_tls}")
         if self.n_tls > 0:
             for name in ("delta_range", "rate_decades"):
                 lo, hi = getattr(self, name)
@@ -100,8 +100,9 @@ class EnsembleConfig:
                 raise DomainError("epsilon_max must be > 0")
             if not self.jump_fraction > 0:
                 raise DomainError("jump_fraction must be > 0")
-        if self.coupling_scale < 0 or self.base_gamma1 < 0:
-            raise DomainError("coupling_scale and base_gamma1 must be >= 0")
+        for name in ("coupling_scale", "base_gamma1"):
+            if not getattr(self, name) >= 0:
+                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(eq=False)

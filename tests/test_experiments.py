@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thermoq import experiments, spectral
+from thermoq import experiments, fitting, spectral
 from thermoq.constants import TWO_PI
 from thermoq.errors import DomainError, FitError, NoDecayError
 from thermoq.tlssim import TimeSeries
@@ -200,6 +200,20 @@ class TestFitTrace:
                                             np.full(25, 0.8), None, None)
         with pytest.raises(NoDecayError):
             experiments.fit_trace(trace)
+
+    def test_flat_ramsey_trace_raises_no_decay(self):
+        times = np.linspace(0.0, 5.0 / GAMMA2_RAMSEY, 101)
+        trace = experiments.ExperimentTrace("ramsey", times, np.full(101, 0.5),
+                                            DETUNING, None)
+        with pytest.raises(NoDecayError):
+            experiments.fit_trace(trace)
+
+    def test_ramsey_goes_through_the_analytic_fit(self):
+        times = np.linspace(0.0, 5.0 / GAMMA2_RAMSEY, 101)
+        trace = experiments.simulate_trace("ramsey", GAMMA2_RAMSEY, DETUNING, times,
+                                           n_averages=N_AVERAGES, seed=15)
+        fits = fitting.fit_ramsey(times, trace.p_e, DETUNING)
+        assert experiments.fit_trace(trace).parameters == fits.result(0).parameters
 
 
 class TestFitDecayTraces:

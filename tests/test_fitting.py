@@ -1,91 +1,82 @@
 """Tests for the damped Gauss-Newton least-squares engine."""
 
 import math
-import pathlib
 
 import numpy as np
 import pytest
 
-from thermoq import cavity, config, fitting, spectra
+from thermoq import fitting
 from thermoq.errors import DegenerateDataError, ModelDomainError, RankDeficiencyError
 
 
-def test_linear_model_exact_data():
-    x = np.linspace(0.0, 5.0, 20)
-    y = 3.0 + 2.0 * x
-
-    def residual(p):
-        return y - (p[0] + p[1] * x)
-
-    res = fitting.least_squares(residual, [0.0, 0.0], names=("intercept", "slope"))
-    assert res.converged
-    assert res.parameters["intercept"] == pytest.approx(3.0, abs=1e-12)
-    assert res.parameters["slope"] == pytest.approx(2.0, abs=1e-12)
-    assert res.residual_norm < 1e-10
-    # quadratic objective: the damped schedule contracts the residual by
-    # >= 1e3 per accepted step, so machine precision needs only a few
-    assert res.n_iterations <= 10
+def test_noiseless_decay_exact_data():
+    t = np.linspace(0.0, 5.0, 20)
+    fits = fitting.fit_decays(t, 3.0 + 2.0 * np.exp(-0.7 * t))
+    assert fits.converged[0] and fits.formed[0]
+    assert fits.parameters[0] == pytest.approx([0.7, 2.0, 3.0], rel=1e-12)
+    assert fits.residual_norm[0] < 1e-10
+    # the closed-form start lands close: a few accepted steps, then the
+    # rejected trials that end the row
+    assert fits.n_iterations[0] <= 20
 
 
 def test_exponential_decay_matches_log_linear_oracle():
     rate = 2 * math.pi * 3.9e6
     t = np.linspace(0.0, 5e-7, 40)
     y = 0.97 * np.exp(-rate * t)
-
-    def residual(p):
-        return y - p[0] * np.exp(-p[1] * t)
-
-    res = fitting.least_squares(residual, [1.0, 1.0 / 2e-7], names=("amp", "rate"))
+    fits = fitting.fit_decays(t, y)
     # independent oracle: ordinary least squares on log(y) is exact on
     # noiseless exponential data
     slope, intercept = np.polyfit(t, np.log(y), 1)
-    assert res.parameters["rate"] == pytest.approx(-slope, rel=1e-8)
-    assert res.parameters["amp"] == pytest.approx(math.exp(intercept), rel=1e-8)
+    fit_rate, amplitude, offset = fits.parameters[0]
+    assert fit_rate == pytest.approx(-slope, rel=1e-8)
+    assert amplitude == pytest.approx(math.exp(intercept), rel=1e-8)
+    assert abs(offset) < 1e-12
 
 
 def test_rank_deficiency_on_insensitive_parameter():
-    y = np.ones(10)
-
-    def residual(p):
-        return y - (p[0] * 0.0 + 1.0)
-
-    with pytest.raises(RankDeficiencyError):
-        fitting.least_squares(residual, [1.0])
+    # a flat row starts at amplitude 0, where the rate has no effect
+    fits = fitting.fit_decays(np.linspace(0.0, 1.0, 10), np.ones(10))
+    assert not fits.formed[0]
+    assert isinstance(fits.errors[0], RankDeficiencyError)
+    assert "'rate'" in str(fits.errors[0])
 
 
 def test_non_finite_initial_residual():
-    def residual(p):
-        return np.array([math.nan, 0.0])
-
-    with pytest.raises(ModelDomainError):
-        fitting.least_squares(residual, [1.0])
+    data = np.ones(10)
+    data[3] = math.nan
+    fits = fitting.fit_decays(np.linspace(0.0, 1.0, 10), data)
+    assert not fits.formed[0]
+    assert isinstance(fits.errors[0], ModelDomainError)
 
 
 def test_permutation_equivariance():
+    # the same start on permuted points: only the order of the sums differs
     rng = np.random.default_rng(5)
     x = np.linspace(0.0, 2.0, 50)
     y = 1.3 * np.exp(-2.1 * x) + 0.01 * rng.standard_normal(x.size)
     perm = rng.permutation(x.size)
+    start = fitting._decay_start(x[None], y[None])
 
-    def make_residual(xs, ys):
-        return lambda p: ys - p[0] * np.exp(-p[1] * xs)
+    def fit(xs, ys):
+        return fitting._levenberg_marquardt(fitting._DecaySums(xs[None], ys[None]),
+                                            start.copy(), fitting.DECAY_NAMES)
 
-    res1 = fitting.least_squares(make_residual(x, y), [1.0, 1.0])
-    res2 = fitting.least_squares(make_residual(x[perm], y[perm]), [1.0, 1.0])
-    for name in res1.param_names:
-        assert res1.parameters[name] == pytest.approx(res2.parameters[name], rel=1e-9)
+    res1, res2 = fit(x, y), fit(x[perm], y[perm])
+    assert res1.converged[0] and res2.converged[0]
+    assert res2.parameters[0] == pytest.approx(res1.parameters[0], rel=1e-9)
 
 
 def test_covariance_scales_quadratically_with_parameter_rescaling():
     rng = np.random.default_rng(7)
-    x = np.linspace(0.5, 3.0, 40)
-    y = 2.0 * x + 0.1 * rng.standard_normal(x.size)
-
-    res1 = fitting.least_squares(lambda p: y - p[0] * x, [1.0])
-    # reparametrize a -> a'/10: same model, parameter 10x larger
-    res2 = fitting.least_squares(lambda p: y - (p[0] / 10.0) * x, [10.0])
-    assert res2.parameters["p0"] == pytest.approx(10 * res1.parameters["p0"], rel=1e-8)
-    assert res2.covariance[0, 0] == pytest.approx(100 * res1.covariance[0, 0], rel=1e-6)
+    t = np.linspace(0.0, 3.0, 40)
+    y = 0.2 + 0.7 * np.exp(-1.5 * t) + 0.01 * rng.standard_normal(t.size)
+    res1 = fitting.fit_decays(t, y)
+    # t -> t/10: same model, rate 10x larger
+    res2 = fitting.fit_decays(t / 10.0, y)
+    assert res2.parameters[0, 0] == pytest.approx(10 * res1.parameters[0, 0], rel=1e-8)
+    assert res2.covariance[0, 0, 0] == pytest.approx(100 * res1.covariance[0, 0, 0],
+                                                     rel=1e-6)
 
 
 RATE = 2 * math.pi * 3.9e6
@@ -154,17 +145,6 @@ class TestFitDecays:
         assert np.all(again.residual_norm <= fits.residual_norm)
         assert np.allclose(again.parameters[:, 0], fits.parameters[:, 0], rtol=1e-8, atol=0)
 
-    def test_matches_serial_least_squares(self):
-        # the per-trace reference: same model, start and schedule, with
-        # finite-difference Jacobians and one fit per trace
-        times, data = noisy_decays(16, 400_000, 5)
-        fits = fitting.fit_decays(times, data)
-        starts = fitting._decay_start(times, data)
-        for t, y, start, p in zip(times, data, starts, fits.parameters):
-            ref = fitting.least_squares(
-                lambda q: q[2] + q[1] * np.exp(-q[0] * t) - y, start)
-            assert p[0] == pytest.approx(ref.parameters["p0"], rel=1e-8)
-
     def test_start_is_the_integral_equation_solve(self):
         # the per-trace reference rule: with y less its first point and S
         # its trapezoid integral, least squares of y on (1, t, S) gives
@@ -209,63 +189,53 @@ class TestFitDecays:
         assert np.all(np.isnan(out[1]))
 
 
-class TestFitRows:
+def assert_rows_equal_single_fits(fits, single):
+    """Each row of ``fits`` equals ``single(i)``, the same row fitted alone."""
+    for i in range(len(fits.formed)):
+        alone = single(i)
+        assert alone.formed[0] == fits.formed[i]
+        assert type(alone.errors[0]) is type(fits.errors[i])
+        assert alone.parameters[0].tobytes() == fits.parameters[i].tobytes()
+        assert alone.covariance[0].tobytes() == fits.covariance[i].tobytes()
+        assert alone.residual_norm[0].tobytes() == fits.residual_norm[i].tobytes()
+        assert alone.n_iterations[0] == fits.n_iterations[i]
+        assert alone.converged[0] == fits.converged[i]
+
+
+class TestBatchRows:
     def test_rows_equal_single_fits(self):
         # one batch of clean, rank-deficient and non-finite rows; each
-        # row must equal least_squares on that row alone
+        # row must equal fit_decays on that row alone, bit for bit
         t = np.linspace(0.0, 1.0, 30)
         rng = np.random.default_rng(12)
         rates = np.array([3.0, 1.2, 2.5, 9.0, 3.0, 3.0, 5.8])
         data = 2.0 * np.exp(-rates[:, None] * t) + 0.3
         data += 0.02 * rng.standard_normal(data.shape)
+        data[2, 7] = math.inf            # non-finite start
+        data[4] = 0.8                    # flat: the rate has no effect
         data[5, 4] = math.nan            # non-finite residual at the start
-        starts = np.tile([1.0, 1.0, 0.0], (7, 1))
-        starts[2, 2] = math.nan          # non-finite start
-        starts[4, 0] = 0.0               # zero amplitude: the rate has no effect
-        names = ("amplitude", "rate", "offset")
-
-        def model(p, rows):
-            return p[:, 0:1] * np.exp(-p[:, 1:2] * t) + p[:, 2:3] - data[rows]
-
-        fits = fitting.fit_rows(model, starts, names=names)
+        fits = fitting.fit_decays(np.tile(t, (7, 1)), data)
         assert fits.formed.tolist() == [True, True, False, True, False, False, True]
         assert isinstance(fits.errors[2], ModelDomainError)
         assert isinstance(fits.errors[4], RankDeficiencyError)
         assert isinstance(fits.errors[5], ModelDomainError)
         assert len(set(fits.n_iterations[fits.formed].tolist())) > 1
-        for i, y in enumerate(data):
-            def single(p):
-                return p[0] * np.exp(-p[1] * t) + p[2] - y
-
-            if not fits.formed[i]:
-                with pytest.raises(type(fits.errors[i])):
-                    fitting.least_squares(single, starts[i], names=names)
-                continue
-            alone = fitting.least_squares(single, starts[i], names=names)
-            row = fits.result(i)
-            assert row.parameters == alone.parameters
-            assert row.covariance.tobytes() == alone.covariance.tobytes()
-            assert row.n_iterations == alone.n_iterations
-            assert row.converged == alone.converged
-            assert row.residual_norm == alone.residual_norm
+        assert_rows_equal_single_fits(fits, lambda i: fitting.fit_decays(t, data[i]))
 
     def test_rows_stop_independently(self):
-        # row 0 converges in a few steps; row 1's residual exp(-p x) keeps
-        # falling as p grows, so it uses every trial step unconverged
-        x = np.linspace(1.0, 2.0, 5)
-        data = np.array([np.exp(-2.0 * x), np.zeros(5)])
-        fits = fitting.fit_rows(lambda p, rows: np.exp(-p * x) - data[rows],
-                                [[1.0], [1.0]])
+        # row 0 converges in a few steps; row 1, one point up and the rest
+        # at 0, keeps falling as its rate grows, so it uses every trial
+        # step unconverged
+        t = np.linspace(0.0, 1.0, 10)
+        data = np.array([np.exp(-2.0 * t), np.eye(1, 10)[0]])
+        fits = fitting.fit_decays(np.tile(t, (2, 1)), data)
         assert fits.converged.tolist() == [True, False]
         assert fits.n_iterations[1] == fitting._MAX_ITER > fits.n_iterations[0]
-        for i, y in enumerate(data):
-            alone = fitting.least_squares(lambda p: np.exp(-p[0] * x) - y, [1.0])
-            assert fits.result(i).parameters == alone.parameters
-            assert fits.result(i).n_iterations == alone.n_iterations
+        assert_rows_equal_single_fits(fits, lambda i: fitting.fit_decays(t, data[i]))
 
     def test_too_few_residuals_raise_for_the_batch(self):
         with pytest.raises(RankDeficiencyError):
-            fitting.fit_rows(lambda p, rows: p[:, :1] - 1.0, [[1.0, 2.0]] * 3)
+            fitting.fit_ramsey([[0.0, 1.0, 2.0]] * 3, [[1.0, 0.5, 0.4]] * 3, 1.0)
 
 
 class TestLinearFit:
@@ -319,25 +289,6 @@ class TestLinearFit:
         assert hits >= 45
 
 
-SAMPLE = config.load_config(pathlib.Path(__file__).resolve().parent.parent / "sample.json")
-
-
-def stark_sweep(port, noise=0.0):
-    """A sample.json Stark sweep at alpha = 0.389 over 15 temperatures,
-    heating one port."""
-    circuit = SAMPLE.circuit
-    rng = np.random.default_rng(0)
-    kappas = (circuit.kappa_x, circuit.kappa_a, circuit.kappa_tot)
-    points = []
-    for temp in np.linspace(0.05, 1.5, 15):
-        n = spectra.bose_occupation(circuit.omega_r, float(temp))
-        n_x, n_a = (n, 0.0) if port == "readout" else (0.0, n)
-        shift = cavity.ac_stark_shift(n_x, n_a, circuit.chi, kappas, 0.389)
-        points.append(cavity.StarkSweepPoint(
-            float(temp), shift * (1.0 + noise * rng.standard_normal())))
-    return points
-
-
 def floor_points():
     rng = np.random.default_rng(8)
     temps = 0.03 * 10.0 ** np.linspace(0.0, 1.0, 8)
@@ -356,29 +307,6 @@ def budget_floor_points(rng):
     return list(zip(temps, mus))
 
 
-def calibration_problem(sweep, port, alpha=0.389):
-    """(residuals, start, names) of a Stark calibration posed as nonlinear
-    least squares in (alpha or kappa_a, intercept), started from alpha = 1
-    or the configured kappa_a: a two-parameter row model for the LM loop."""
-    circuit = SAMPLE.circuit
-    n_th = np.array([spectra.bose_occupation(circuit.omega_r, p.temperature) for p in sweep])
-    shifts = np.array([p.delta_omega_q for p in sweep])
-    chi = circuit.chi
-    if port == "readout":
-        def residual(p):
-            a, c = p
-            return shifts - (2 * chi * a * circuit.kappa_x * n_th / circuit.kappa_tot + c)
-
-        return residual, [1.0, shifts[0]], ("alpha", "intercept")
-
-    def residual(p):
-        ka, c = p
-        kappa_tot = circuit.kappa_i + circuit.kappa_x + ka
-        return shifts - (2 * chi * alpha * ka * n_th / kappa_tot + c)
-
-    return residual, [circuit.kappa_a, shifts[0]], ("kappa_a", "intercept")
-
-
 def floor_problem(points):
     """(residuals, start, names) of mu0 + a*T^(2+x) posed as nonlinear
     least squares in (mu0, a, x), started from the x = 0 curve through the
@@ -394,35 +322,99 @@ def floor_problem(points):
     return residuals, [mu00, a0, 0.0], ("mu0", "a", "x")
 
 
-def solve(problem):
-    residuals, start, names = problem
-    return fitting.least_squares(residuals, start, names=names)
-
-
 class TestStoppingRule:
     """A row stops once one trial, accepted or not, moves it and changes
     its residual norm by less than the tolerance."""
 
-    def test_noiseless_calibration_trial_count(self, monkeypatch):
-        # 10 accepted steps reach alpha = 0.389; the rejected trials then
-        # raise the damping until a trial moves the row by less than the
-        # tolerance (the collapse exit waited for 1e17, the plain schedule
-        # for 1e30).  Normal equations are formed at the start, after each
-        # accepted step and for the covariance.
+    def test_noiseless_decay_trial_count(self, monkeypatch):
+        # 7 accepted steps reach the exact decay from the closed-form
+        # start; the rejected trials then raise the damping until a trial
+        # moves the row by less than the tolerance.  Normal equations are
+        # formed at the start, after each accepted step and for the
+        # covariance.
         formed = []
-        normal_equations = fitting._ForwardDifferences.normal_equations
+        normal_equations = fitting._DecaySums.normal_equations
 
         def counting(self, q, rows):
             formed.append(len(rows))
             return normal_equations(self, q, rows)
 
-        monkeypatch.setattr(fitting._ForwardDifferences, "normal_equations", counting)
+        monkeypatch.setattr(fitting._DecaySums, "normal_equations", counting)
+        t = np.linspace(0.0, 1.5, 25)
+        fits = fitting.fit_decays(t, 0.05 + 0.9 * np.exp(-2.0 * t))
+        trials, accepted = int(fits.n_iterations[0]), len(formed) - 2
+        assert (trials, accepted) == (18, 7)
+        assert fits.converged[0]
+        assert fits.parameters[0] == pytest.approx([2.0, 0.9, 0.05], rel=1e-12)
 
-        def fit():
-            formed.clear()
-            result = solve(calibration_problem(stark_sweep("readout"), "readout"))
-            return result.n_iterations, len(formed) - 2, result.parameters["alpha"]
 
-        trials, accepted, alpha = fit()
-        assert (trials, accepted) == (26, 10)
-        assert alpha == pytest.approx(0.389, rel=1e-12)
+def noisy_ramsey(n, n_averages, seed):
+    """Shot-noise-limited Ramsey fringes over 5 decay constants each, with
+    a few fringes per decay constant."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rates = 2 * math.pi * 0.25e6 * (1.0 + 0.2 * rng.random(n))
+    detunings = 2 * math.pi * 1.0e6 * (1.0 + 0.2 * rng.random(n))
+    times = np.linspace(0.0, 5.0 / rates, 101, axis=1)
+    p = 0.5 + 0.5 * np.exp(-rates[:, None] * times) * np.cos(detunings[:, None] * times)
+    return times, rng.binomial(n_averages, p) / n_averages, detunings
+
+
+class TestFitRamsey:
+    # the same bounds as TestFitDecays.test_rates_match_scipy
+    @pytest.mark.parametrize("n_averages,seed", [(1_000, 51), (100_000, 52)])
+    def test_rates_match_scipy(self, n_averages, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        times, data, detunings = noisy_ramsey(24, n_averages, seed)
+        fits = fitting.fit_ramsey(times, data, detunings)
+        assert fits.formed.all() and fits.converged.all()
+        for t, y, detuning, p, err, norm in zip(times, data, detunings, fits.parameters,
+                                                fits.stderr("rate"), fits.residual_norm):
+            def residual(q):
+                return q[3] + q[2] * np.exp(-q[0] * t) * np.cos(q[1] * t) - y
+
+            def jacobian(q):
+                e, c, s = np.exp(-q[0] * t), np.cos(q[1] * t), np.sin(q[1] * t)
+                return np.stack([-q[2] * t * e * c, -q[2] * t * e * s, e * c,
+                                 np.ones_like(t)], axis=1)
+
+            start = [2.0 / t[-1], detuning, y[0] - y.mean(), y.mean()]
+            ref = optimize.least_squares(residual, start, jac=jacobian, method="lm",
+                                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            assert ref.success
+            assert p[0] == pytest.approx(ref.x[0], rel=1e-8)
+            s2 = 2 * ref.cost / (t.size - 4)
+            ref_err = math.sqrt(s2 * np.linalg.inv(ref.jac.T @ ref.jac)[0, 0])
+            assert err == pytest.approx(ref_err, rel=1e-5)
+            assert norm <= np.linalg.norm(ref.fun) * (1 + 1e-12)
+
+    def test_noiseless_fringe_is_recovered(self):
+        t = np.linspace(0.0, 5e-6, 101)
+        truth = [1.2e6, 6.5e6, 0.45, 0.5]
+        y = truth[3] + truth[2] * np.exp(-truth[0] * t) * np.cos(truth[1] * t)
+        fits = fitting.fit_ramsey(t, y, 6.3e6)
+        assert fits.converged[0] and fits.formed[0]
+        assert fits.parameters[0] == pytest.approx(truth, rel=1e-10)
+        assert fits.residual_norm[0] < 1e-12
+
+    def test_flat_row_stops_at_its_start(self):
+        # amplitude starts at the first point less the mean, 0 on a flat
+        # row, where neither rate nor detuning has an effect
+        t = np.linspace(0.0, 1e-5, 30)
+        fits = fitting.fit_ramsey(t, np.full(30, 0.5), 1e6)
+        assert not fits.formed[0]
+        assert isinstance(fits.errors[0], RankDeficiencyError)
+        assert fits.parameters[0].tolist() == [2.0 / t[-1], 1e6, 0.0, 0.5]
+
+    def test_non_finite_initial_residual(self):
+        data = np.full(30, 0.5)
+        data[3] = math.nan
+        fits = fitting.fit_ramsey(np.linspace(0.0, 1e-5, 30), data, 1e6)
+        assert isinstance(fits.errors[0], ModelDomainError)
+
+    def test_rows_equal_single_fits(self):
+        times, data, detunings = noisy_ramsey(6, 1_000, 53)
+        data[4] = 0.5  # flat: rank-deficient
+        fits = fitting.fit_ramsey(times, data, detunings)
+        assert fits.formed.tolist() == [True, True, True, True, False, True]
+        assert_rows_equal_single_fits(fits, lambda i: fitting.fit_ramsey(
+            times[i], data[i], detunings[i]))

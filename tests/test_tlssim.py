@@ -123,6 +123,12 @@ class TestSampleEnsemble:
         with pytest.raises(DomainError):
             make_config(rate_decades=(1e-2, 5e-2))
 
+    @pytest.mark.parametrize("name", ["n_tls", "coupling_scale", "base_gamma1"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_nan_and_negative_scales_are_refused(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be >= 0, got {value}$"):
+            dataclasses.replace(make_config(), **{name: value})
+
 
 class TestSimulateMicroscopic:
     def test_empty_ensemble_is_constant_baseline(self):
