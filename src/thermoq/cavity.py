@@ -180,8 +180,11 @@ def calibrate_attenuation(sweep, port: str, params: CircuitParams,
     intercept, with the calibrated ``alpha`` supplied: the share u =
     s / (2 chi alpha) gives kappa_a = (kappa_i + kappa_x) u / (1 - u) and
     its errors by the delta method, and u >= 1 within rounding raises
-    ModelDomainError.
+    ModelDomainError.  The readout fit takes no ``alpha``: it fits it.
     """
+    if port == "readout" and alpha is not None:
+        raise DomainError("readout calibration fits alpha: a known alpha is "
+                          "for the antenna port only")
     points = list(sweep)
     if len(points) < 4:
         raise DomainError(f"need at least 4 sweep points, got {len(points)}")

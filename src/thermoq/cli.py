@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 validation problem (config, CSV, domain),
 3 fit failure.  Seed precedence is ``--seed`` over ``THERMOQ_SEED``
 over the config seed.  Each run writes ``report.json`` listing every
 emitted file with its SHA-256 content hash; set ``THERMOQ_TIMESTAMP``
-to an ISO 8601 date and time to pin the report timestamp.
+to an ISO 8601 date and time to pin the report timestamp.  ``main``
+builds each parser once per process and reuses it, so a caller that runs
+many commands in one interpreter pays for argparse's set-up once.
 
 All emitted frequencies and rates are in Hz (omega/2pi); column names
 carry the units.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -149,24 +152,41 @@ def cmd_rates(args, run, out):
     return ["rates.json"]
 
 
-def _temperatures(args) -> np.ndarray:
-    """--points temperatures from --t-min to --t-max, whose ends must lie
-    within a quarter of the largest float: np.linspace overflows beyond."""
+def _sweep(args, point) -> tuple:
+    """(temperatures, ``point(T)`` at each): --points temperatures from
+    --t-min to --t-max, whose ends must lie within a quarter of the largest
+    float (np.linspace overflows beyond).  The temperatures a point accepts
+    form an interval, so a DomainError at the first is --t-min's and one
+    further on is --t-max's: it names that option."""
     if not max(abs(args.t_min), abs(args.t_max)) <= sys.float_info.max / 4:
         raise ValidationError(f"temperature range {args.t_min!r} to {args.t_max!r} K too wide")
-    return np.linspace(args.t_min, args.t_max, args.points)
+    temps = np.linspace(args.t_min, args.t_max, args.points).tolist()
+    values = []
+    for i, temp in enumerate(temps):
+        try:
+            values.append(point(temp))
+        except DomainError as exc:
+            flag, end = ("--t-min", args.t_min) if i == 0 else ("--t-max", args.t_max)
+            raise DomainError(f"{flag} {end!r} out of range: {exc}") from None
+    return temps, values
 
 
 def cmd_stark_sweep(args, run, out):
     alpha = args.alpha if args.alpha is not None else \
         run.port("readout").attenuation
+    # only --alpha can be out of range (the config checks the attenuation);
+    # checked here, or the sweep would blame its first temperature
+    if not 0 < alpha <= 1:
+        raise DomainError(f"--alpha {alpha!r} must be a power factor in (0, 1]")
     circuit = run.circuit
     kappas = (circuit.kappa_x, circuit.kappa_a, circuit.kappa_tot)
-    points = []
-    for temp in _temperatures(args):
-        n_x = spectra.bose_occupation(circuit.omega_r, float(temp))
+
+    def point(temp):
+        n_x = spectra.bose_occupation(circuit.omega_r, temp)
         shift = ac_stark_shift(n_x, 0.0, circuit.chi, kappas, alpha)
-        points.append(StarkSweepPoint(float(temp), float(shift)))
+        return StarkSweepPoint(temp, float(shift))
+
+    _, points = _sweep(args, point)
     io.write_stark_sweep(out / "stark_sweep.csv", points)
     return ["stark_sweep.csv"]
 
@@ -205,8 +225,8 @@ def cmd_gamma1_sweep(args, run, out):
 
 
 def cmd_dephasing_sweep(args, run, out):
-    temps = _temperatures(args).tolist()
-    rates = [decoherence.dephasing_second_order(t, run.geometry) for t in temps]
+    temps, rates = _sweep(
+        args, lambda t: decoherence.dephasing_second_order(t, run.geometry))
     io.DEPHASING_SWEEP.write(out / "dephasing_sweep.csv", (temps, rates))
     return ["dephasing_sweep.csv"]
 
@@ -336,7 +356,8 @@ _COMMANDS = {
         arguments=(("--input", dict(required=True, help="Stark sweep CSV")),
                    ("--port", dict(choices=("readout", "antenna"), required=True)),
                    ("--alpha", dict(type=_finite_float, default=None,
-                                    help="known attenuation (antenna calibration)")))),
+                                    help="known attenuation, antenna port only "
+                                         "(the readout port fits it)")))),
     "gamma1-sweep": _Command(
         "cmd_gamma1_sweep", "relaxation-rate models vs photon number",
         arguments=(("--n-max", dict(type=_finite_float, default=2.0)),
@@ -397,13 +418,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per process: parsing never
+    changes a parser, and ``build_parser`` stays a fresh one per call."""
+    return build_parser(command)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except _Reparse:
-        args = build_parser().parse_args(argv)
+        args = _parser(None).parse_args(argv)
     spec = _COMMANDS[args.command]
     try:
         timestamp = _report_timestamp()

@@ -263,6 +263,12 @@ class TestCalibrateAttenuation:
         with pytest.raises(DomainError):
             cavity.calibrate_attenuation(sweep, "antenna", params)
 
+    def test_readout_refuses_a_given_alpha(self):
+        params = make_params()
+        sweep = synthetic_sweep(params, 0.389, self.temps)
+        with pytest.raises(DomainError, match="alpha"):
+            cavity.calibrate_attenuation(sweep, "readout", params, alpha=0.5)
+
     def test_too_few_points(self):
         params = make_params()
         sweep = synthetic_sweep(params, 0.389, [0.1, 0.5, 1.0])

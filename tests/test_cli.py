@@ -134,6 +134,18 @@ class TestStarkSweepAndCalibrate:
         assert "no finite kappa_a" in capsys.readouterr().err
         assert not (tmp_path / "out" / "calibration.json").exists()
 
+    def test_readout_calibration_refuses_alpha(self, tmp_path, capsys):
+        # the readout port fits alpha, so a given one would be ignored
+        cfg = write_config(tmp_path)
+        assert cli.main(["stark-sweep", "--config", str(cfg)]) == 0
+        sweep_csv = tmp_path / "out" / "stark_sweep.csv"
+        assert cli.main(["calibrate", "--config", str(cfg), "--input", str(sweep_csv),
+                         "--port", "readout", "--alpha", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: readout calibration fits alpha: a known alpha is "
+            "for the antenna port only\n")
+        assert not (tmp_path / "out" / "calibration.json").exists()
+
     def test_degenerate_sweep_is_a_fit_error(self, tmp_path):
         cfg = write_config(tmp_path)
         sweep_csv = tmp_path / "flat.csv"
@@ -452,6 +464,28 @@ class TestErrorPaths:
         assert err.startswith("error: ") and message in err
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dephasing-sweep", "--t-min", "-1"],
+         "--t-min -1.0 out of range: T_a must be >= 0: no rate at temperature -1.0 K"),
+        (["dephasing-sweep", "--t-max", "1e300"],
+         "--t-max 1e+300 out of range: second-order dephasing rate is not finite"),
+        (["stark-sweep", "--t-min", "0"],
+         "--t-min 0.0 out of range: sweep temperature 0.0 K outside the instrument range"),
+        (["stark-sweep", "--t-min=-1"],
+         "--t-min -1.0 out of range: temperature must be >= 0"),
+        (["stark-sweep", "--t-max", "3"], "--t-max 3.0 out of range: sweep temperature "),
+        # a descending sweep starts at --t-min
+        (["stark-sweep", "--t-min", "3", "--t-max", "1"], "--t-min 3.0 out of range: "),
+        (["stark-sweep", "--t-min", "1", "--t-max", "0.01"], "--t-max 0.01 out of range: "),
+        # a bad --alpha fails at every temperature, so it is named, not --t-min
+        (["stark-sweep", "--alpha", "2"], "--alpha 2.0 must be a power factor in (0, 1]"),
+    ])
+    def test_sweep_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message)
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_overflowing_photon_range_names_n_max(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         argv = ["gamma1-sweep", "--n-max=1.7976931348623157e+308", "--config", str(cfg)]
@@ -603,13 +637,54 @@ class TestParserEquivalence:
             built.append(command)
             return build(command)
 
+        cli._parser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", recording)
         assert cli.main(["rates", "--config", str(tmp_path / "nope.json")]) == 2
         assert built == ["rates"]
         with pytest.raises(SystemExit):
             cli.main(["rates", "--bogus"])
-        assert built == ["rates", "rates", None]
+        assert built == ["rates", None]
+        assert cli.main(["rates", "--config", str(tmp_path / "nope.json")]) == 2
+        assert built == ["rates", None]
         capsys.readouterr()
+
+    def test_build_parser_stays_fresh_per_call(self):
+        # a caller that adds an argument to its parser cannot reach main's
+        assert cli.build_parser("rates") is not cli.build_parser("rates")
+        assert cli.build_parser() is not cli._parser(None)
+
+    @pytest.mark.parametrize("name, given, attr, default", [
+        ("stark-sweep", ["--alpha", "0.5"], "alpha", None),
+        ("stark-sweep", ["--t-min", "0.1", "--points", "4"], "t_min", 0.05),
+        ("tls-sim", ["--seed", "3"], "seed", None),
+        ("campaign", ["--seed", "3"], "seed", None),
+        ("tls-sim", ["--mode", "phenomenological"], "mode", "microscopic"),
+        ("campaign", ["--mode", "phenomenological"], "mode", "microscopic"),
+        ("calibrate", ["--alpha", "0.3"], "alpha", None),
+    ])
+    @pytest.mark.parametrize("command", ["one", "full"])
+    def test_no_value_leaks_between_parses(self, name, given, attr, default, command):
+        parser = cli._parser(name if command == "one" else None)
+        argv = valid_argv(name)
+        first = parser.parse_args([*argv, *given])
+        assert getattr(first, attr) != default
+        assert getattr(parser.parse_args(argv), attr) == default
+        assert cli._parser(name if command == "one" else None) is parser
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["-h", "rates"]] + [
+        argv for name, bad in [
+            ("rates", ["--config"]), ("stark-sweep", ["--alpha", "nan"]),
+            ("calibrate", ["--port", "bogus"]), ("gamma1-sweep", ["--points", "0"]),
+            ("dephasing-sweep", ["--t-min", "x"]), ("tls-sim", ["--seed", "-1"]),
+            ("psd-fit", ["--bins-per-decade", "0"]), ("floor-fit", ["--input"]),
+            ("campaign", ["--mode", "bogus"])]
+        for argv in ([name, "--help"], [*valid_argv(name), *bad])
+    ], ids=" ".join)
+    def test_help_and_errors_unchanged_on_reuse(self, capsys, argv):
+        cli._parser.cache_clear()
+        first = parse_outcome(capsys, cli.main, argv)
+        assert parse_outcome(capsys, cli.main, argv) == first
+        assert first[0] in (0, 2) and (first[1] or first[2])
 
 
 BOUNDARY_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
