@@ -7,7 +7,7 @@ Exit codes: 0 success, 2 validation problem (config, CSV, domain),
 over the config seed.  Each run writes ``report.json`` listing every
 emitted file with its SHA-256 content hash; set ``THERMOQ_TIMESTAMP``
 to an ISO 8601 date and time to pin the report timestamp.  ``main``
-builds each parser once per process and reuses it, so a caller that runs
+builds its parser once per process and reuses it, so a caller that runs
 many commands in one interpreter pays for argparse's set-up once.
 
 All emitted frequencies and rates are in Hz (omega/2pi); column names
@@ -124,9 +124,8 @@ def _fit_payload(fit) -> dict:
     return {
         "beta": fit.beta,
         "beta_err": fit.beta_err,
-        "omega_c_hz": _hz(fit.omega_c) if math.isfinite(fit.omega_c) else None,
-        "omega_c_err_hz": (_hz(fit.omega_c_err)
-                           if math.isfinite(fit.omega_c_err) else None),
+        "omega_c_hz": _hz(fit.omega_c),
+        "omega_c_err_hz": _hz(fit.omega_c_err),
         "mu_w_per_hz": fit.mu,
         "mu_err_w_per_hz": fit.mu_err,
         "amplitude": fit.amplitude,
@@ -209,6 +208,9 @@ def cmd_calibrate(args, run, out):
 
 
 def cmd_gamma1_sweep(args, run, out):
+    # checked here, or the models would name their own photon number
+    if not args.n_max >= 0:
+        raise DomainError(f"--n-max {args.n_max!r} must be >= 0")
     circuit = run.circuit
     rates = decoherence.component_rates(circuit, run.s_delta)
     photons = np.linspace(0.0, args.n_max, args.points).tolist()
@@ -381,20 +383,9 @@ _COMMANDS = {
 }
 
 
-class _Reparse(Exception):
-    """A parse error of a one-command parser; the full parser reports it."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Reparse(message)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone.  A
-    one-command parser parses and prints help as the full one does but
-    raises ``_Reparse`` on an error, whose message the full one words."""
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of every subcommand."""
+    parser = argparse.ArgumentParser(
         prog="thermoq",
         description="Transmon decoherence under thermal fields: rate "
                     "budgets, sweeps, TLS simulation, and spectral fits.")
@@ -402,8 +393,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in _COMMANDS.items():
-        if command not in (None, name):
-            continue
         cmd = sub.add_parser(name, help=spec.help)
         cmd.add_argument("--output-dir", default=None,
                          help="directory for output files")
@@ -419,19 +408,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """``build_parser(command)``, built once per process: parsing never
-    changes a parser, and ``build_parser`` stays a fresh one per call."""
-    return build_parser(command)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing never changes a
+    parser, and ``build_parser`` stays a fresh one per call."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = _parser(command).parse_args(argv)
-    except _Reparse:
-        args = _parser(None).parse_args(argv)
+    args = _parser().parse_args(argv)
     spec = _COMMANDS[args.command]
     try:
         timestamp = _report_timestamp()

@@ -247,9 +247,6 @@ class _DecaySums:
     def __init__(self, times, data):
         self.times, self.data = times, data
 
-    norm = staticmethod(lambda x: np.linalg.norm(x, axis=1))
-    variance = staticmethod(lambda norm, dof: norm**2 / dof)
-
     def _rows(self, rows):
         # rows is ascending, so a full set is every row: no copy needed
         if len(rows) == len(self.times):

@@ -8,6 +8,9 @@ emits a report listing each output file with its content hash.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -479,12 +482,25 @@ class TestErrorPaths:
         (["stark-sweep", "--t-min", "1", "--t-max", "0.01"], "--t-max 0.01 out of range: "),
         # a bad --alpha fails at every temperature, so it is named, not --t-min
         (["stark-sweep", "--alpha", "2"], "--alpha 2.0 must be a power factor in (0, 1]"),
+        # a negative photon number is --n-max's, not the models' n_a
+        (["gamma1-sweep", "--n-max", "-1"], "--n-max -1.0 must be >= 0"),
+        (["gamma1-sweep", "--n-max=-1e-300"], "--n-max -1e-300 must be >= 0"),
     ])
     def test_sweep_range_errors_name_the_option(self, tmp_path, capsys, argv, message):
         cfg = write_config(tmp_path)
         assert cli.main([*argv, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: " + message)
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("n_max", ["0", "-0.0"])
+    def test_zero_photon_range_is_valid(self, tmp_path, n_max):
+        # the --n-max check refuses only what is below zero
+        cfg = write_config(tmp_path)
+        assert cli.main(["gamma1-sweep", f"--n-max={n_max}", "--points", "3",
+                         "--config", str(cfg)]) == 0
+        _, rows = read_csv_columns(tmp_path / "out" / "gamma1_sweep.csv")
+        assert rows.shape == (3, 4)
+        assert (rows[:, 0] == 0).all() and (rows[:, 1] == rows[0, 1]).all()
 
     def test_overflowing_photon_range_names_n_max(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -601,8 +617,8 @@ def valid_argv(name):
 
 
 class TestParserEquivalence:
-    """``main`` parses with the named subcommand's parser alone; every
-    help text, usage line and error must be the full parser's."""
+    """``main`` parses with one parser built per process; every help text,
+    usage line and error must be a fresh parser's."""
 
     @pytest.mark.parametrize("argv", [
         argv for name in cli._COMMANDS for argv in failing_argvs(name)
@@ -615,43 +631,51 @@ class TestParserEquivalence:
 
     @pytest.mark.parametrize("name", list(cli._COMMANDS))
     def test_same_namespace_as_the_full_parser(self, name):
+        # main's cached parser, after parsing every subcommand, still gives
+        # a fresh parser's namespace
+        parser = cli._parser()
+        for other in cli._COMMANDS:
+            parser.parse_args(valid_argv(other))
         argv = valid_argv(name)
-        lean = cli.build_parser(name).parse_args(argv)
-        assert vars(lean) == vars(cli.build_parser().parse_args(argv))
-        assert lean.command == name
+        cached = parser.parse_args(argv)
+        assert vars(cached) == vars(cli.build_parser().parse_args(argv))
+        assert cached.command == name
 
-    @pytest.mark.parametrize("name", list(cli._COMMANDS))
-    def test_one_command_parser_defers_errors(self, name):
-        with pytest.raises(cli._Reparse):
-            cli.build_parser(name).parse_args([name, "--bogus"])
-        parser = cli.build_parser(name)
-        (sub,) = [a for a in parser._actions if a.dest == "command"]
-        assert list(sub.choices) == [name]
+    @pytest.mark.parametrize("argv", [[name, "--bogus"] for name in cli._COMMANDS]
+                             + [["--version"], ["rates", "--help"]], ids=" ".join)
+    def test_one_shot_process_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        # a fresh ``python -m thermoq`` parses sys.argv with the same parser
+        monkeypatch.setenv("COLUMNS", "80")
+        full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        src = str(Path(thermoq.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "thermoq", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == full
 
-    def test_main_builds_one_command_parser_unless_it_fails(self, tmp_path,
-                                                            monkeypatch, capsys):
+    def test_main_builds_one_parser_per_process(self, tmp_path, monkeypatch, capsys):
         built = []
         build = cli.build_parser
 
-        def recording(command=None):
-            built.append(command)
-            return build(command)
+        def recording():
+            built.append(build())
+            return built[-1]
 
         cli._parser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", recording)
         assert cli.main(["rates", "--config", str(tmp_path / "nope.json")]) == 2
-        assert built == ["rates"]
+        assert len(built) == 1
         with pytest.raises(SystemExit):
             cli.main(["rates", "--bogus"])
-        assert built == ["rates", None]
         assert cli.main(["rates", "--config", str(tmp_path / "nope.json")]) == 2
-        assert built == ["rates", None]
+        assert len(built) == 1
         capsys.readouterr()
 
     def test_build_parser_stays_fresh_per_call(self):
         # a caller that adds an argument to its parser cannot reach main's
-        assert cli.build_parser("rates") is not cli.build_parser("rates")
-        assert cli.build_parser() is not cli._parser(None)
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
 
     @pytest.mark.parametrize("name, given, attr, default", [
         ("stark-sweep", ["--alpha", "0.5"], "alpha", None),
@@ -662,14 +686,19 @@ class TestParserEquivalence:
         ("campaign", ["--mode", "phenomenological"], "mode", "microscopic"),
         ("calibrate", ["--alpha", "0.3"], "alpha", None),
     ])
-    @pytest.mark.parametrize("command", ["one", "full"])
-    def test_no_value_leaks_between_parses(self, name, given, attr, default, command):
-        parser = cli._parser(name if command == "one" else None)
+    @pytest.mark.parametrize("first", ["parsed", "failed"])
+    def test_no_value_leaks_between_parses(self, capsys, name, given, attr, default,
+                                           first):
+        parser = cli._parser()
         argv = valid_argv(name)
-        first = parser.parse_args([*argv, *given])
-        assert getattr(first, attr) != default
+        if first == "parsed":
+            assert getattr(parser.parse_args([*argv, *given]), attr) != default
+        else:
+            # an error after the values are read leaves none of them behind
+            assert parse_outcome(capsys, parser.parse_args,
+                                 [*argv, *given, "--bogus"])[0] == 2
         assert getattr(parser.parse_args(argv), attr) == default
-        assert cli._parser(name if command == "one" else None) is parser
+        assert cli._parser() is parser
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["-h", "rates"]] + [
         argv for name, bad in [
