@@ -6,7 +6,10 @@ Exit codes: 0 success, 2 validation problem (config, CSV, domain),
 3 fit failure.  Seed precedence is ``--seed`` over ``THERMOQ_SEED``
 over the config seed.  Each run writes ``report.json`` listing every
 emitted file with its SHA-256 content hash; set ``THERMOQ_TIMESTAMP``
-to an ISO 8601 date and time to pin the report timestamp.  ``main``
+to an ISO 8601 date and time to pin the report timestamp.  A handler
+computes every output before ``main`` writes any, so a run that exits
+2 or 3 writes no output file and no ``report.json``, though the output
+directory may already exist.  ``main``
 builds its parser once per process and reuses it, so a caller that runs
 many commands in one interpreter pays for argparse's set-up once.
 
@@ -120,8 +123,13 @@ def _spawn_seeds(seed: int, n: int) -> list:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def _fit_payload(fit) -> dict:
-    return {
+def _knee_outputs(series, spectrum_name: str, fit_name: str,
+                  **psd_options) -> dict:
+    """The outputs of the log-binned spectrum of ``series`` and of its knee
+    fit, under the given names."""
+    spectrum = psd_estimate(series, **psd_options)
+    fit = fit_knee_spectrum(spectrum)
+    return {spectrum_name: (io.write_spectrum, spectrum), fit_name: (_write_json, {
         "beta": fit.beta,
         "beta_err": fit.beta_err,
         "omega_c_hz": _hz(fit.omega_c),
@@ -133,10 +141,10 @@ def _fit_payload(fit) -> dict:
         "fit_window_hz": [_hz(fit.fit_window[0]), _hz(fit.fit_window[1])],
         "lr_statistic": fit.lr_statistic,
         "degenerate": fit.degenerate,
-    }
+    })}
 
 
-def cmd_rates(args, run, out):
+def cmd_rates(args, run):
     budget = decoherence.rate_budget(
         run.circuit, run.geometry, S_delta=run.s_delta,
         T_a=run.port("antenna").temperature,
@@ -147,8 +155,7 @@ def cmd_rates(args, run, out):
         "gamma_phi_2nd_antenna", "gamma_phi_photon_shot")}
     payload["notes"] = budget.notes
     payload["warnings"] = list(budget.warnings)
-    _write_json(out / "rates.json", payload)
-    return ["rates.json"]
+    return {"rates.json": (_write_json, payload)}
 
 
 def _sweep(args, point) -> tuple:
@@ -170,7 +177,7 @@ def _sweep(args, point) -> tuple:
     return temps, values
 
 
-def cmd_stark_sweep(args, run, out):
+def cmd_stark_sweep(args, run):
     alpha = args.alpha if args.alpha is not None else \
         run.port("readout").attenuation
     # only --alpha can be out of range (the config checks the attenuation);
@@ -186,11 +193,10 @@ def cmd_stark_sweep(args, run, out):
         return StarkSweepPoint(temp, float(shift))
 
     _, points = _sweep(args, point)
-    io.write_stark_sweep(out / "stark_sweep.csv", points)
-    return ["stark_sweep.csv"]
+    return {"stark_sweep.csv": (io.write_stark_sweep, points)}
 
 
-def cmd_calibrate(args, run, out):
+def cmd_calibrate(args, run):
     sweep = io.read_stark_sweep(args.input)
     result = calibrate_attenuation(sweep, args.port, run.circuit,
                                    alpha=args.alpha)
@@ -203,11 +209,10 @@ def cmd_calibrate(args, run, out):
     else:
         payload["kappa_a_hz"] = _hz(result.parameters["kappa_a"])
         payload["kappa_a_err_hz"] = _hz(result.stderr("kappa_a"))
-    _write_json(out / "calibration.json", payload)
-    return ["calibration.json"]
+    return {"calibration.json": (_write_json, payload)}
 
 
-def cmd_gamma1_sweep(args, run, out):
+def cmd_gamma1_sweep(args, run):
     # checked here, or the models would name their own photon number
     if not args.n_max >= 0:
         raise DomainError(f"--n-max {args.n_max!r} must be >= 0")
@@ -221,16 +226,14 @@ def cmd_gamma1_sweep(args, run, out):
     resonant = [decoherence.delta_gamma1_res(n, rates) for n in photons]
     if not np.isfinite([antenna, dispersive, resonant]).all():
         raise DomainError(f"--n-max {args.n_max!r} too large: the relaxation rates overflow")
-    io.GAMMA1_SWEEP.write(out / "gamma1_sweep.csv",
-                          (photons, antenna, dispersive, resonant))
-    return ["gamma1_sweep.csv"]
+    return {"gamma1_sweep.csv": (io.GAMMA1_SWEEP.write,
+                                 (photons, antenna, dispersive, resonant))}
 
 
-def cmd_dephasing_sweep(args, run, out):
+def cmd_dephasing_sweep(args, run):
     temps, rates = _sweep(
         args, lambda t: decoherence.dephasing_second_order(t, run.geometry))
-    io.DEPHASING_SWEEP.write(out / "dephasing_sweep.csv", (temps, rates))
-    return ["dephasing_sweep.csv"]
+    return {"dephasing_sweep.csv": (io.DEPHASING_SWEEP.write, (temps, rates))}
 
 
 def _tls_series(run: RunConfig, mode: str, seed: int):
@@ -251,54 +254,43 @@ def _tls_series(run: RunConfig, mode: str, seed: int):
         duration, dt, dynamics_seed, base_gamma1=run.tls.base_gamma1)
 
 
-def cmd_tls_sim(args, run, out):
+def cmd_tls_sim(args, run):
     seed = _effective_seed(args, run.seed)
     series = _tls_series(run, args.mode, seed)
-    io.write_time_series(out / "gamma1_series.csv", series)
-    return ["gamma1_series.csv"]
+    return {"gamma1_series.csv": (io.write_time_series, series)}
 
 
-def cmd_psd_fit(args, run, out):
-    series = io.read_time_series(args.input)
-    spectrum = psd_estimate(series, bins_per_decade=args.bins_per_decade)
-    io.write_spectrum(out / "spectrum.csv", spectrum)
-    fit = fit_knee_spectrum(spectrum)
-    _write_json(out / "psd_fit.json", _fit_payload(fit))
-    return ["spectrum.csv", "psd_fit.json"]
+def cmd_psd_fit(args, run):
+    return _knee_outputs(io.read_time_series(args.input), "spectrum.csv",
+                         "psd_fit.json", bins_per_decade=args.bins_per_decade)
 
 
-def cmd_floor_fit(args, run, out):
+def cmd_floor_fit(args, run):
     points = io.read_floor_points(args.input)
     fit = fit_white_floor_vs_temp(points)
-    _write_json(out / "floor_fit.json", {
+    return {"floor_fit.json": (_write_json, {
         "mu0_w_per_hz": fit.mu0, "mu0_err_w_per_hz": fit.mu0_err,
         "a_w_per_hz_per_k": fit.a, "a_err_w_per_hz_per_k": fit.a_err,
         "x": fit.x, "x_err": fit.x_err,
         "x_unidentifiable": fit.x_unidentifiable,
-    })
-    return ["floor_fit.json"]
+    })}
 
 
-def cmd_campaign(args, run, out):
+def cmd_campaign(args, run):
     seed = _effective_seed(args, run.seed)
     source_seed, measure_seed = _spawn_seeds(seed, 2)
     source = _tls_series(run, args.mode, source_seed)
     campaign_config = dataclasses.replace(run.campaign, seed=measure_seed)
     result = simulate_campaign(campaign_config, source)
-    io.write_time_series(out / "campaign_series.csv", result.series)
-    spectrum = psd_estimate(result.series)
-    io.write_spectrum(out / "campaign_psd.csv", spectrum)
-    fit = fit_knee_spectrum(spectrum)
-    _write_json(out / "campaign_fit.json", _fit_payload(fit))
     values = result.series.values
-    _write_json(out / "campaign_summary.json", {
-        "n_points": int(values.size),
-        "n_gaps": len(result.gap_indices),
-        "gamma1_mean_hz": _hz(float(np.mean(values))),
-        "gamma1_std_hz": _hz(float(np.std(values))),
-    })
-    return ["campaign_series.csv", "campaign_psd.csv",
-                                "campaign_fit.json", "campaign_summary.json"]
+    return {"campaign_series.csv": (io.write_time_series, result.series),
+            **_knee_outputs(result.series, "campaign_psd.csv", "campaign_fit.json"),
+            "campaign_summary.json": (_write_json, {
+                "n_points": int(values.size),
+                "n_gaps": len(result.gap_indices),
+                "gamma1_mean_hz": _hz(float(np.mean(values))),
+                "gamma1_std_hz": _hz(float(np.std(values))),
+            })}
 
 
 def _report_timestamp() -> str:
@@ -313,7 +305,7 @@ def _report_timestamp() -> str:
     return timestamp
 
 
-def _write_report(out: Path, command: str, inputs: list, outputs: list,
+def _write_report(out: Path, command: str, inputs: list, outputs: dict,
                   timestamp: str) -> None:
     report = {
         "command": command,
@@ -335,9 +327,12 @@ class _Command(NamedTuple):
     """A subcommand: it takes --output-dir, --config unless ``config`` is
     False, --seed if ``seeded``, then each (flag, options) of ``arguments``.
     ``handler`` names a function of this module, looked up at each call
-    (so that a wrapper installed on the module sees it); ``handler(args,
-    run, out)`` writes into ``out`` and returns the names of the files it
-    wrote, and ``run`` is the loaded config, if any."""
+    (so that a wrapper installed on the module sees it).  ``handler(args,
+    run)``, where ``run`` is the loaded config if any, writes nothing: it
+    returns an insertion-ordered ``{file name: (write, content)}``, and
+    ``main`` then calls ``write(out / name, content)`` for each entry and
+    lists the names in ``report.json``.  A handler that raises therefore
+    leaves no output file and no report."""
 
     handler: str
     help: str
@@ -423,7 +418,9 @@ def main(argv=None) -> int:
         out = Path(args.output_dir if args.output_dir is not None
                    else run.output_dir if run is not None else ".")
         out.mkdir(parents=True, exist_ok=True)
-        outputs = globals()[spec.handler](args, run, out)
+        outputs = globals()[spec.handler](args, run)
+        for name, (write, content) in outputs.items():
+            write(out / name, content)
         inputs = [vars(args)[key] for key in ("config", "input") if key in vars(args)]
         _write_report(out, args.command, inputs, outputs, timestamp)
     except ValidationError as exc:

@@ -227,6 +227,16 @@ def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
     return TimeSeries(t0=0.0, dt=dt, values=values, seed_used=seed)
 
 
+def _shaped_psd(beta: float, knee: float, white_sigma: float, n: int,
+                dt: float) -> np.ndarray:
+    """One-sided PSD of the omega^-beta branch at the n-sample record's
+    Fourier frequencies k/(n dt), k = 1 .. n//2, in (rad/s)^2/Hz: the floor
+    2 white_sigma^2 dt scaled by (omega_k/knee)^-beta."""
+    g_white = 2 * white_sigma**2 * dt
+    omega_k = TWO_PI * np.arange(1, n // 2 + 1) / (n * dt)
+    return g_white * (omega_k / knee) ** (-beta)
+
+
 def simulate_phenomenological(mean: float, beta: float, knee: float, white_sigma: float,
                               duration: float, dt: float, seed: int) -> TimeSeries:
     """Gaussian series with one-sided PSD  mu (omega/knee)^-beta + mu.
@@ -255,13 +265,9 @@ def simulate_phenomenological(mean: float, beta: float, knee: float, white_sigma
         return TimeSeries(0.0, dt, np.full(n, float(mean)), seed_used=seed)
 
     fluct = white_sigma * rng.standard_normal(n)
-    g_white = 2 * white_sigma**2 * dt  # one-sided PSD of the floor, (rad/s)^2/Hz
-    n_half = n // 2
-    k = np.arange(1, n_half + 1)
-    omega_k = TWO_PI * k / (n * dt)
-    g_col = g_white * (omega_k / knee) ** (-beta)
-    z = rng.standard_normal((k.size, 2))
-    coeff = np.zeros(n_half + 1, dtype=complex)
+    g_col = _shaped_psd(beta, knee, white_sigma, n, dt)
+    z = rng.standard_normal((g_col.size, 2))
+    coeff = np.zeros(g_col.size + 1, dtype=complex)
     coeff[1:] = np.sqrt(g_col * n / (4 * dt)) * (z[:, 0] + 1j * z[:, 1])
     if n % 2 == 0:
         coeff[-1] = math.sqrt(g_col[-1] * n / (2 * dt)) * z[-1, 0]
@@ -276,12 +282,8 @@ def phenomenological_sigma(beta: float, knee: float, white_sigma: float,
     n = int(round(duration / dt))
     if white_sigma == 0.0 or n < 2:
         return 0.0
-    g_white = 2 * white_sigma**2 * dt
+    g_col = _shaped_psd(beta, knee, white_sigma, n, dt)
     df = 1.0 / (n * dt)
-    n_half = n // 2
-    k = np.arange(1, n_half + 1)
-    omega_k = TWO_PI * k / (n * dt)
-    g_col = g_white * (omega_k / knee) ** (-beta)
     var_col = float(np.sum(g_col * df))
     if n % 2 == 0:
         var_col -= g_col[-1] * df / 2  # Nyquist carries half a bin

@@ -340,10 +340,6 @@ class TestCampaign:
         assert summary["n_gaps"] >= 0
         assert (out / "campaign_psd.csv").exists()
         assert (out / "campaign_fit.json").exists()
-        report = read_json(out / "report.json")
-        assert {o["path"] for o in report["outputs"]} == {
-            "campaign_series.csv", "campaign_psd.csv",
-            "campaign_fit.json", "campaign_summary.json"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, **{"tls.n_tls": 20,
@@ -357,6 +353,63 @@ class TestCampaign:
                      "campaign_fit.json", "campaign_summary.json",
                      "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+SAMPLE = Path(__file__).resolve().parents[1] / "sample.json"
+FLOOR_CSV = """temp_k,psd_w_per_hz
+0.03,2.105e-29
+0.04168,2.072e-29
+0.05792,2.262e-29
+0.08048,2.489e-29
+0.1118,2.991e-29
+0.1554,3.996e-29
+0.2159,5.878e-29
+0.3,9.956e-29
+"""
+
+
+@pytest.fixture(scope="module")
+def sample_inputs(tmp_path_factory):
+    """The input files of calibrate, psd-fit and floor-fit, made from
+    sample.json by stark-sweep and tls-sim."""
+    work = tmp_path_factory.mktemp("sample")
+    for argv in (["stark-sweep"], ["tls-sim", "--mode", "microscopic"]):
+        assert cli.main([*argv, "--config", str(SAMPLE),
+                         "--output-dir", str(work)]) == 0
+    (work / "floor.csv").write_text(FLOOR_CSV)
+    return {"calibrate": work / "stark_sweep.csv",
+            "psd-fit": work / "gamma1_series.csv",
+            "floor-fit": work / "floor.csv"}
+
+
+class TestOutputSets:
+    @pytest.mark.parametrize("argv, outputs", [
+        (["rates"], {"rates.json"}),
+        (["stark-sweep"], {"stark_sweep.csv"}),
+        (["calibrate", "--port", "readout"], {"calibration.json"}),
+        (["calibrate", "--port", "antenna", "--alpha", "0.389"], {"calibration.json"}),
+        (["gamma1-sweep"], {"gamma1_sweep.csv"}),
+        (["dephasing-sweep"], {"dephasing_sweep.csv"}),
+        (["tls-sim", "--mode", "microscopic"], {"gamma1_series.csv"}),
+        (["tls-sim", "--mode", "phenomenological"], {"gamma1_series.csv"}),
+        (["psd-fit"], {"spectrum.csv", "psd_fit.json"}),
+        (["floor-fit"], {"floor_fit.json"}),
+        *((["campaign", "--mode", mode], {
+            "campaign_series.csv", "campaign_psd.csv",
+            "campaign_fit.json", "campaign_summary.json"})
+          for mode in ("microscopic", "phenomenological")),
+    ])
+    def test_output_dir_holds_the_reported_files_only(self, tmp_path, sample_inputs,
+                                                      argv, outputs):
+        if cli._COMMANDS[argv[0]].config:
+            argv = [*argv, "--config", str(SAMPLE)]
+        if argv[0] in sample_inputs:
+            argv = [*argv, "--input", str(sample_inputs[argv[0]])]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--output-dir", str(out)]) == 0
+        reported = {o["path"] for o in read_json(out / "report.json")["outputs"]}
+        assert reported == outputs
+        assert {path.name for path in out.iterdir()} == outputs | {"report.json"}
 
 
 class TestErrorPaths:
@@ -425,6 +478,26 @@ class TestErrorPaths:
         assert cli.main(["campaign", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_short_series_knee_fit_writes_nothing(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        io.write_time_series(series, TimeSeries(0.0, 10.0, 2e7 + np.arange(64.0)))
+        out = tmp_path / "out"
+        assert cli.main(["psd-fit", "--input", str(series),
+                         "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: knee fit needs a spectrum spanning at least 2 decades\n"
+        assert list(out.iterdir()) == []
+
+    def test_shortest_campaign_knee_fit_writes_nothing(self, tmp_path, capsys):
+        # 64 ticks, the least a config accepts: too short for the knee fit
+        cfg = write_config(tmp_path, **{"tls.n_tls": 20,
+                                        "campaign.duration_s": 640.0,
+                                        "campaign.point_rate_hz": 0.1})
+        assert cli.main(["campaign", "--config", str(cfg), "--seed", "5"]) == 2
+        assert capsys.readouterr().err == \
+            "error: knee fit needs a spectrum spanning at least 2 decades\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_switch_count_cap_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"tls.rate_decades": [1e-5, 1e3],
@@ -801,6 +874,7 @@ class TestFloatBoundaryFuzz:
                 code = exc.code
             assert code in (0, 2, 3)
             if code != 0:
+                assert not out.exists() or not any(out.iterdir())
                 return
             for entry in read_json(out / "report.json")["outputs"]:
                 path = out / entry["path"]
