@@ -267,6 +267,9 @@ def cmd_psd_fit(args, run):
 
 def cmd_floor_fit(args, run):
     points = io.read_floor_points(args.input)
+    for row, (_, level) in enumerate(points, start=2):
+        if not level > 0:
+            raise DomainError(f"row {row}: white level {level!r} must be > 0")
     fit = fit_white_floor_vs_temp(points)
     return {"floor_fit.json": (_write_json, {
         "mu0_w_per_hz": fit.mu0, "mu0_err_w_per_hz": fit.mu0_err,

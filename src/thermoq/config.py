@@ -12,11 +12,11 @@ so it passes through unscaled.
 Unknown keys are rejected, and every diagnostic names the offending
 field path (e.g. ``circuit.g_hz``).  Numbers must be finite, and the
 run sizes are capped before anything is allocated: a campaign holds all
-its relaxation traces at once (about 2.2 kB per tick at peak), each
-TLS costs about 0.75 kB plus one pass over the tick grid, and each
-expected telegraph switch of the microscopic model costs one exponential
-draw and a few words of run bookkeeping.  Averaging counts stop at the
-largest count the binomial shot-noise sampler takes.
+its relaxation traces at once (about 2.2 kB per tick at peak), a TLS
+about 140 B at peak (48 B kept in the ensemble record) plus one pass
+over the tick grid, and an expected telegraph switch of the microscopic
+model one uniform draw and a few words of sorting.  Averaging counts
+stop at the largest count the binomial shot-noise sampler takes.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .tlssim import T_REF, EnsembleConfig
 
 MAX_CAMPAIGN_TICKS = 2**18  # about 0.6 GB at peak for a whole campaign
 MAX_TLS = 100_000
-# Expected telegraph switches of a whole microscopic record.  About 39 B
-# per switch at peak when one TLS holds them all (tracemalloc, 2^22
-# switches in one TLS over 2^17 samples: 157 MiB), so about 0.65 GB here.
+# Expected telegraph switches of a whole microscopic record.  About 16 B
+# per switch at peak when one TLS holds them all (tracemalloc, 2^20
+# switches in one TLS over 2^15 samples), so about 0.27 GB here.
 MAX_SWITCHES = 2**24
 MAX_AVERAGES = 2**63 - 1  # the largest count Generator.binomial takes (a C long)
 

@@ -312,8 +312,8 @@ def fit_white_floor_vs_temp(points) -> FloorScalingFit:
     if len(pts) < 4:
         raise DomainError("floor-scaling fit needs at least 4 temperatures")
     temps, mus = np.array(pts).T
-    if temps[0] <= 0:
-        raise DomainError("temperatures must be > 0")
+    if not (temps[0] > 0 and mus.min() > 0):
+        raise DomainError("temperatures and white levels must be > 0")
     if temps[-1] < 5 * temps[0]:
         raise DomainError("temperatures must span at least a factor of 5")
 

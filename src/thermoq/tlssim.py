@@ -21,7 +21,7 @@ seed, so results are reproducible regardless of execution parallelism.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,9 +31,9 @@ from .errors import DomainError, NonNormalizableError
 T_REF = 1.0  # K, reference temperature of the switching-rate scale
 
 
-@dataclass(frozen=True)
-class Tls:
-    """One two-level system.
+@dataclass(frozen=True, eq=False)
+class TlsEnsemble:
+    """Two-level systems, one entry each in six equally long float arrays.
 
     epsilon and delta_t are the asymmetry and tunnel-splitting energies
     (J); coupling is the maximum contribution to gamma1 when resonant
@@ -42,22 +42,25 @@ class Tls:
     of its center frequency between omega_tls +/- jump/2.
     """
 
-    epsilon: float
-    delta_t: float
-    coupling: float
-    linewidth: float
-    switch_rate: float
-    jump: float
+    epsilon: np.ndarray
+    delta_t: np.ndarray
+    coupling: np.ndarray
+    linewidth: np.ndarray
+    switch_rate: np.ndarray
+    jump: np.ndarray
 
     def __post_init__(self):
-        for name in ("epsilon", "delta_t", "coupling", "linewidth", "switch_rate", "jump"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"Tls.{name} must be strictly positive")
+        for f in fields(self):  # epsilon first: its shape is the one the others match
+            a = np.asarray(getattr(self, f.name), dtype=float)
+            if a.ndim != 1 or a.shape != np.shape(self.epsilon) or not np.all(a > 0):
+                raise DomainError(f"TlsEnsemble.{f.name} must hold one entry > 0 per TLS")
+            object.__setattr__(self, f.name, a)
 
     @property
-    def omega_tls(self) -> float:
-        """Excitation frequency sqrt(epsilon^2 + delta_t^2)/hbar, rad/s."""
-        return math.hypot(self.epsilon, self.delta_t) / hbar
+    def omega_tls(self) -> np.ndarray:
+        """Excitation frequencies math.hypot(epsilon, delta_t)/hbar, rad/s."""
+        hypot = map(math.hypot, self.epsilon.tolist(), self.delta_t.tolist())
+        return np.fromiter(hypot, float, self.epsilon.size) / hbar
 
 
 @dataclass(frozen=True)
@@ -135,35 +138,31 @@ def _log_uniform(rng, lo, hi, n):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
 
 
-def sample_ensemble(config: EnsembleConfig) -> list[Tls]:
+def sample_ensemble(config: EnsembleConfig) -> TlsEnsemble:
     """Draw a TLS ensemble from the configured distributions.
 
     Deterministic given config.seed.  Raises NonNormalizableError for
-    x_exponent <= -1 (epsilon^x is not normalizable on (0, epsilon_max]).
+    x_exponent <= -1 (epsilon^x is not normalizable on (0, epsilon_max])
+    and DomainError where x_exponent lies so close to -1 that a sampled
+    epsilon underflows to 0.
     """
     if config.x_exponent <= -1:
         raise NonNormalizableError(
-            f"epsilon^x density with x = {config.x_exponent} is not normalizable"
-        )
+            f"epsilon^x density with x = {config.x_exponent} is not normalizable")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     n = config.n_tls
     # inverse-CDF sampling of p(eps) ~ eps^x on (0, eps_max]
     u = 1.0 - rng.random(n)  # in (0, 1]
     eps = config.epsilon_max * u ** (1.0 / (1.0 + config.x_exponent))
+    if not np.all(eps > 0):
+        raise DomainError(f"x_exponent = {config.x_exponent} is too close to -1: "
+                          "a sampled epsilon underflows to 0")
     delta = _log_uniform(rng, *config.delta_range, n)
     rate = _log_uniform(rng, *config.rate_decades, n)
     linewidth = _log_uniform(rng, *config.linewidth_range, n)
-    return [
-        Tls(
-            epsilon=float(eps[i]),
-            delta_t=float(delta[i]),
-            coupling=float(config.coupling_scale),
-            linewidth=float(linewidth[i]),
-            switch_rate=float(rate[i]),
-            jump=float(config.jump_fraction * linewidth[i]),
-        )
-        for i in range(n)
-    ]
+    coupling = np.full(n, float(config.coupling_scale))
+    return TlsEnsemble(epsilon=eps, delta_t=delta, coupling=coupling, linewidth=linewidth,
+                       switch_rate=rate, jump=config.jump_fraction * linewidth)
 
 
 def _telegraph_sum(n: int, counts, positions: np.ndarray, start, other) -> np.ndarray:
@@ -190,7 +189,7 @@ def _telegraph_sum(n: int, counts, positions: np.ndarray, start, other) -> np.nd
     return np.cumsum(np.bincount(key, weights=step, minlength=n + 1)[:n], dtype=float)
 
 
-def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
+def simulate_microscopic(ensemble: TlsEnsemble, omega_q: float, T: float, duration: float,
                          dt: float, seed: int, *, base_gamma1: float = 0.0) -> TimeSeries:
     """Simulate gamma1(t) = base_gamma1 + sum of telegraphing Lorentzians.
 
@@ -202,8 +201,7 @@ def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
     counts ~ Poisson(r * duration) and all switch times, uniform on
     [0, duration).  A switch steps its TLS's contribution by the signed
     level difference from the first sample at or after it, so the record
-    is the start levels plus a running sum of steps.  ``ensemble`` may
-    be any iterable of Tls.  Identical output for identical seed.
+    is the start levels plus a running sum of steps.  Same seed, same output.
     """
     if not dt > 0:
         raise DomainError("dt must be > 0")
@@ -211,15 +209,13 @@ def simulate_microscopic(ensemble, omega_q: float, T: float, duration: float,
         raise DomainError("duration must be at least 10 * dt")
     if not T >= 0:
         raise DomainError("temperature must be >= 0")
-    ensemble = list(ensemble)
     n = int(round(duration / dt))
-    params = [(t.coupling, t.linewidth / 2, t.omega_tls, t.jump, t.switch_rate) for t in ensemble]
-    coupling, half, omega_tls, jump, rate = np.array(params, dtype=float).reshape(-1, 5).T
-    centers = omega_tls + np.multiply.outer([1, -1], jump / 2)  # up, down
-    v_up, v_dn = coupling * half**2 / (half**2 + (omega_q - centers) ** 2)
+    half = ensemble.linewidth / 2
+    centers = ensemble.omega_tls + np.multiply.outer([1, -1], ensemble.jump / 2)  # up, down
+    v_up, v_dn = ensemble.coupling * half**2 / (half**2 + (omega_q - centers) ** 2)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    up_first = rng.random(len(ensemble)) < 0.5
-    counts = rng.poisson(rate * (T / T_REF) * duration)
+    up_first = rng.random(ensemble.epsilon.size) < 0.5
+    counts = rng.poisson(ensemble.switch_rate * (T / T_REF) * duration)
     start, other = np.where(up_first, v_up, v_dn), np.where(up_first, v_dn, v_up)
     values = _telegraph_sum(n, counts, rng.uniform(0.0, duration / dt, counts.sum()),
                             start, other)

@@ -257,6 +257,15 @@ class TestTlsSim:
         assert (flag_beats_env / "gamma1_series.csv").read_bytes() == \
             (by_flag / "gamma1_series.csv").read_bytes()
 
+    def test_epsilon_underflow_names_x_exponent(self, tmp_path, capsys):
+        # epsilon = epsilon_max * u**(1/(1 + x)) underflows to 0 at x = -0.999999
+        cfg = write_config(tmp_path, **{"tls.x_exponent": -0.999999})
+        assert cli.main(["tls-sim", "--config", str(cfg), "--mode", "microscopic"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: x_exponent = -0.999999 ")
+        assert "Tls" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_phenomenological_mode_requires_block(self, tmp_path):
         data = base_config()
         del data["phenomenological"]
@@ -323,6 +332,17 @@ class TestFloorFit:
         io.write_floor_points(floor_csv, [(0.05, 1e-24), (0.5, 1.1e-24)])
         assert cli.main(["floor-fit", "--input", str(floor_csv),
                          "--output-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("bad, row", [((-1e-25, 0.0), 3), ((1.3e-24, 0.0), 5)])
+    def test_level_not_above_zero_names_the_row(self, tmp_path, capsys, bad, row):
+        levels = [1.0e-24, bad[0], 1.2e-24, bad[1], 1.5e-24]
+        floor_csv = tmp_path / "floor.csv"
+        io.write_floor_points(floor_csv, list(zip([0.05, 0.1, 0.2, 0.4, 0.8], levels)))
+        assert cli.main(["floor-fit", "--input", str(floor_csv),
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        level = levels[row - 2]
+        assert capsys.readouterr().err == f"error: row {row}: white level {level!r} must be > 0\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestCampaign:

@@ -415,3 +415,7 @@ class TestFloorScalingFit:
         with pytest.raises(DomainError):
             spectral.fit_white_floor_vs_temp([(0.5, 1e-24), (0.6, 1e-24),
                                               (0.7, 1e-24), (0.8, 1e-24)])
+        for level in (0.0, -1e-25):
+            with pytest.raises(DomainError, match="white levels must be > 0"):
+                spectral.fit_white_floor_vs_temp([(0.1, 1e-24), (0.2, level),
+                                                  (0.4, 1e-24), (0.8, 1e-24)])

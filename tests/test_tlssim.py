@@ -14,6 +14,7 @@ from thermoq.constants import TWO_PI, hbar
 from thermoq.errors import DomainError, NonNormalizableError
 
 OMEGA_Q = TWO_PI * 6.92e9
+FIELDS = [field.name for field in dataclasses.fields(tlssim.TlsEnsemble)]
 
 
 def make_config(**overrides):
@@ -22,11 +23,14 @@ def make_config(**overrides):
     return tlssim.EnsembleConfig(**values)
 
 
-def make_tls(switch_rate):
-    return tlssim.Tls(
-        epsilon=hbar * OMEGA_Q, delta_t=hbar * OMEGA_Q / 10,
-        coupling=TWO_PI * 10e3, linewidth=TWO_PI * 1e9,
-        switch_rate=switch_rate, jump=TWO_PI * 1e9,
+def make_tls(*switch_rates):
+    """One TLS per switching rate, all else alike; no rate, no TLS."""
+    def alike(value):
+        return np.full(len(switch_rates), value)
+    return tlssim.TlsEnsemble(
+        epsilon=alike(hbar * OMEGA_Q), delta_t=alike(hbar * OMEGA_Q / 10),
+        coupling=alike(TWO_PI * 10e3), linewidth=alike(TWO_PI * 1e9),
+        switch_rate=switch_rates, jump=alike(TWO_PI * 1e9),
     )
 
 
@@ -39,18 +43,18 @@ def _per_sample_values(ensemble, omega_q, T, duration, dt, seed, base_gamma1):
     """
     n = int(round(duration / dt))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    up_first = rng.random(len(ensemble)) < 0.5
-    rates = np.array([tls.switch_rate for tls in ensemble], dtype=float) * (T / tlssim.T_REF)
-    counts = rng.poisson(rates * duration)
+    up_first = rng.random(ensemble.epsilon.size) < 0.5
+    counts = rng.poisson(ensemble.switch_rate * (T / tlssim.T_REF) * duration)
     positions = rng.uniform(0.0, duration / dt, counts.sum())
     per_tls = np.split(positions, np.cumsum(counts)[:-1])
     samples = np.arange(n)
     values = np.full(n, float(base_gamma1))
-    for tls, up, switches in zip(ensemble, up_first, per_tls):
+    params = zip(ensemble.coupling, ensemble.linewidth, ensemble.omega_tls, ensemble.jump)
+    for (coupling, linewidth, omega_tls, jump), up, switches in zip(params, up_first, per_tls):
         n_switches = np.searchsorted(np.sort(switches), samples, side="right")
-        half = tls.linewidth / 2
-        v_up = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls + tls.jump / 2)) ** 2)
-        v_dn = tls.coupling * half**2 / (half**2 + (omega_q - (tls.omega_tls - tls.jump / 2)) ** 2)
+        half = linewidth / 2
+        v_up = coupling * half**2 / (half**2 + (omega_q - (omega_tls + jump / 2)) ** 2)
+        v_dn = coupling * half**2 / (half**2 + (omega_q - (omega_tls - jump / 2)) ** 2)
         start, other = (v_up, v_dn) if up else (v_dn, v_up)
         values += np.where(n_switches % 2 == 0, start, other)
     return values
@@ -81,22 +85,63 @@ class TestSampleEnsemble:
     def test_deterministic(self):
         a = tlssim.sample_ensemble(make_config())
         b = tlssim.sample_ensemble(make_config())
-        assert a == b
+        for field in FIELDS:
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_count_and_derived_frequency(self):
         ensemble = tlssim.sample_ensemble(make_config(n_tls=50))
-        assert len(ensemble) == 50
-        for t in ensemble:
-            assert t.omega_tls >= t.delta_t / hbar
-            assert t.omega_tls >= t.epsilon / hbar
-            assert t.omega_tls == pytest.approx(
-                math.hypot(t.epsilon, t.delta_t) / hbar, rel=1e-12
-            )
+        for field in FIELDS:
+            assert getattr(ensemble, field).shape == (50,)
+        assert np.all(ensemble.omega_tls >= ensemble.delta_t / hbar)
+        assert np.all(ensemble.omega_tls >= ensemble.epsilon / hbar)
+
+    def test_derived_frequency_is_math_hypot_bit_for_bit(self):
+        # the records of every microscopic run rest on these exact values
+        ensembles = [_sample_json_ensemble()[1]] + [
+            tlssim.sample_ensemble(make_config(n_tls=2000, seed=seed)) for seed in (2, 3, 4)]
+        for ensemble in ensembles:
+            expected = [math.hypot(e, d) / hbar
+                        for e, d in zip(ensemble.epsilon.tolist(), ensemble.delta_t.tolist())]
+            assert ensemble.omega_tls.tolist() == expected
+
+    def test_constant_fields(self):
+        config = make_config(n_tls=30)
+        ensemble = tlssim.sample_ensemble(config)
+        assert ensemble.coupling.tolist() == [float(config.coupling_scale)] * 30
+        assert ensemble.jump.tolist() == [config.jump_fraction * w
+                                          for w in ensemble.linewidth.tolist()]
+
+    def test_retained_memory_per_tls(self):
+        # six float64 arrays: 48 B per TLS
+        n = config.MAX_TLS
+        tlssim.sample_ensemble(make_config(n_tls=n))  # warm-up
+        tracemalloc.start()
+        try:
+            ensemble = tlssim.sample_ensemble(make_config(n_tls=n))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ensemble.epsilon.size == n
+        assert retained / n <= 64
+
+    def test_record_checks_shapes_and_signs(self):
+        good = tlssim.sample_ensemble(make_config(n_tls=3))
+        arrays = {field: getattr(good, field) for field in FIELDS}
+        for field, bad in [("jump", np.ones(2)), ("epsilon", np.ones((3, 1))),
+                           ("delta_t", np.ones((3, 1))), ("coupling", 1.0),
+                           ("linewidth", np.array([1.0, 0.0, 1.0])),
+                           ("switch_rate", np.array([1.0, math.nan, 1.0]))]:
+            with pytest.raises(DomainError, match=f"^TlsEnsemble.{field} must hold"):
+                tlssim.TlsEnsemble(**{**arrays, field: bad})
+
+    def test_epsilon_underflow_names_x_exponent(self):
+        with pytest.raises(DomainError, match="^x_exponent = -0.999999 "):
+            tlssim.sample_ensemble(make_config(x_exponent=-0.999999))
 
     def test_flat_epsilon_distribution_at_x_zero(self):
         config = make_config(n_tls=10_000, x_exponent=0.0, seed=3)
         ensemble = tlssim.sample_ensemble(config)
-        u = np.array([t.epsilon for t in ensemble]) / config.epsilon_max
+        u = ensemble.epsilon / config.epsilon_max
         d = stats.kstest(u, "uniform").statistic
         assert d < 1.628 / math.sqrt(len(u))  # critical value at alpha = 0.01
 
@@ -105,15 +150,15 @@ class TestSampleEnsemble:
         hi = hbar * TWO_PI * 10e9  # two decades
         config = make_config(n_tls=10_000, delta_range=(lo, hi), seed=4)
         ensemble = tlssim.sample_ensemble(config)
-        deltas = np.array([t.delta_t for t in ensemble])
+        deltas = ensemble.delta_t
         frac_first_decade = np.mean(deltas < 10 * lo)
         sigma = math.sqrt(0.25 / len(deltas))
         assert abs(frac_first_decade - 0.5) < 3 * sigma
 
     def test_switch_rates_within_band(self):
         config = make_config(n_tls=500, rate_decades=(1e-5, 1e-1))
-        for t in tlssim.sample_ensemble(config):
-            assert 1e-5 <= t.switch_rate <= 1e-1
+        rates = tlssim.sample_ensemble(config).switch_rate
+        assert np.all((1e-5 <= rates) & (rates <= 1e-1))
 
     def test_non_normalizable_exponent(self):
         with pytest.raises(NonNormalizableError):
@@ -133,7 +178,7 @@ class TestSampleEnsemble:
 class TestSimulateMicroscopic:
     def test_empty_ensemble_is_constant_baseline(self):
         base = TWO_PI * 3.9e6
-        ts = tlssim.simulate_microscopic([], OMEGA_Q, 1.0, 1200.0, 10.0,
+        ts = tlssim.simulate_microscopic(make_tls(), OMEGA_Q, 1.0, 1200.0, 10.0,
                                          seed=7, base_gamma1=base)
         assert np.all(ts.values == base)
 
@@ -153,8 +198,7 @@ class TestSimulateMicroscopic:
         assert np.all(ts.values >= base)
 
     def test_single_tls_telegraph_occupancy(self):
-        tls = make_tls(0.05)
-        ts = tlssim.simulate_microscopic([tls], OMEGA_Q, 1.0, 12000.0, 10.0,
+        ts = tlssim.simulate_microscopic(make_tls(0.05), OMEGA_Q, 1.0, 12000.0, 10.0,
                                          seed=21, base_gamma1=0.0)
         levels = np.unique(ts.values)
         assert len(levels) == 2
@@ -166,7 +210,7 @@ class TestSimulateMicroscopic:
         tls = make_tls(0.02)
 
         def n_transitions(T):
-            ts = tlssim.simulate_microscopic([tls], OMEGA_Q, T, 50000.0, 10.0,
+            ts = tlssim.simulate_microscopic(tls, OMEGA_Q, T, 50000.0, 10.0,
                                              seed=5, base_gamma1=0.0)
             return np.sum(np.diff(ts.values) != 0)
 
@@ -185,26 +229,18 @@ class TestSimulateMicroscopic:
         se = math.sqrt(h1.var(ddof=1) / h1.size + h2.var(ddof=1) / h2.size)
         assert abs(h1.mean() - h2.mean()) < 4 * se
 
-    def test_any_iterable_ensemble(self):
-        ensemble = tlssim.sample_ensemble(make_config(n_tls=20))
-        runs = [tlssim.simulate_microscopic(e, OMEGA_Q, 1.0, 12000.0, 10.0, seed=3).values
-                for e in (ensemble, tuple(ensemble), iter(ensemble))]
-        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
-        assert np.unique(runs[0]).size > 1
-
     def test_duration_guard(self):
         with pytest.raises(DomainError):
-            tlssim.simulate_microscopic([], OMEGA_Q, 1.0, 50.0, 10.0, seed=1)
+            tlssim.simulate_microscopic(make_tls(), OMEGA_Q, 1.0, 50.0, 10.0, seed=1)
 
     def test_nan_duration_is_refused(self):
         ensemble = tlssim.sample_ensemble(make_config())
         with pytest.raises(DomainError, match="duration"):
             tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, math.nan, 10.0, seed=1)
 
-    @pytest.mark.parametrize("ensemble", [[], "sampled"], ids=["empty", "sampled"])
-    def test_nan_temperature_is_refused(self, ensemble):
-        if ensemble == "sampled":
-            ensemble = tlssim.sample_ensemble(make_config())
+    @pytest.mark.parametrize("n_tls", [0, 200], ids=["empty", "sampled"])
+    def test_nan_temperature_is_refused(self, n_tls):
+        ensemble = tlssim.sample_ensemble(make_config(n_tls=n_tls))
         with pytest.raises(DomainError, match="temperature"):
             tlssim.simulate_microscopic(ensemble, OMEGA_Q, math.nan, 1200.0, 10.0, seed=1)
 
@@ -277,7 +313,7 @@ class TestSignedSteps:
         run, ensemble, seed = _sample_json_ensemble()
         args = (run.circuit.omega_q0, run.campaign.temperature,
                 run.campaign.duration, 1.0 / run.campaign.point_rate, seed)
-        assert len(ensemble) == 200
+        assert ensemble.epsilon.size == 200
         ts = tlssim.simulate_microscopic(ensemble, *args,
                                          base_gamma1=run.tls.base_gamma1)
         expected = _per_sample_values(ensemble, *args, run.tls.base_gamma1)
@@ -292,15 +328,15 @@ class TestSignedSteps:
         rng.random(1)
         positions = rng.uniform(0.0, duration / dt, rng.poisson([2.0 * duration]).sum())
         assert np.count_nonzero(positions > 99.0) > 10
-        ts = tlssim.simulate_microscopic([tls], OMEGA_Q, 1.0, duration, dt, seed)
-        expected = _per_sample_values([tls], OMEGA_Q, 1.0, duration, dt, seed, 0.0)
+        ts = tlssim.simulate_microscopic(tls, OMEGA_Q, 1.0, duration, dt, seed)
+        expected = _per_sample_values(tls, OMEGA_Q, 1.0, duration, dt, seed, 0.0)
         assert ts.values.size == 100
         np.testing.assert_allclose(ts.values, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("rates", [[0.64], [0.0032] * 200])
     def test_peak_memory_per_switch(self, rates):
         # about 2**18 switches over 2**12 samples, in one TLS or over 200
-        ensemble = [make_tls(rate) for rate in rates]
+        ensemble = make_tls(*rates)
         n, dt = 2**12, 100.0
         tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, n * dt, dt, seed=4)  # warm-up
         tracemalloc.start()
@@ -314,12 +350,12 @@ class TestSignedSteps:
 
 class TestTelegraphSpectrum:
     def test_mean_periodogram_matches_sampled_telegraph_spectrum(self):
-        self.check_sampled_spectrum([make_tls(rate) for rate in (0.02, 0.1, 0.4)])
+        self.check_sampled_spectrum(make_tls(0.02, 0.1, 0.4))
 
     def test_dense_switching_matches_sampled_telegraph_spectrum(self):
         # 2 to 20 switches per sample interval: only the parity of the
         # switches inside one interval may reach the record
-        self.check_sampled_spectrum([make_tls(rate) for rate in (2.0, 5.0, 20.0)])
+        self.check_sampled_spectrum(make_tls(2.0, 5.0, 20.0))
 
     @staticmethod
     def check_sampled_spectrum(ensemble):
@@ -334,12 +370,14 @@ class TestTelegraphSpectrum:
         dt, n, n_records, group = 1.0, 4096, 64, 64
         omegas = TWO_PI * np.arange(1, n // 2) / (n * dt)  # Nyquist left out
         expected = np.zeros(omegas.size)
-        for tls in ensemble:
-            half = tls.linewidth / 2
-            centers = tls.omega_tls + np.array([1, -1]) * tls.jump / 2
-            v_up, v_dn = tls.coupling * half**2 / (half**2 + (OMEGA_Q - centers) ** 2)
+        for coupling, linewidth, omega_tls, jump, rate in zip(
+                ensemble.coupling, ensemble.linewidth, ensemble.omega_tls, ensemble.jump,
+                ensemble.switch_rate):
+            half = linewidth / 2
+            centers = omega_tls + np.array([1, -1]) * jump / 2
+            v_up, v_dn = coupling * half**2 / (half**2 + (OMEGA_Q - centers) ** 2)
             sigma = (v_up - v_dn) / 2
-            rho = math.exp(-2 * tls.switch_rate * dt)
+            rho = math.exp(-2 * rate * dt)
             expected += sigma**2 * (1 - rho**2) / np.abs(1 - rho * np.exp(-1j * omegas * dt)) ** 2
         expected *= (hbar / TWO_PI) * 2 * dt  # one-sided, as spectral.periodogram
         mean = np.zeros(omegas.size)
