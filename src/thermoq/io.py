@@ -17,22 +17,28 @@ travel as bytes, without a Python string per row:
 
 - Writing turns each column of a block of ``_BLOCK`` rows into a
   NUL-padded (rows, width) uint8 matrix.  The 17-digit coefficient and
-  decimal exponent come from a double-double, (omega/2pi, its residual)
-  for Hz and (x, 0) for plain columns (Dekker's error-free product;
-  Dekker 1971, Ogita, Rump & Oishi 2005).  Its digits are placed by
-  Decimal's layout for Hz and by ``'g'``'s, less trailing zeros, for
-  plain columns; the block is written with one ``tobytes`` once the
-  padding is dropped.
+  decimal exponent of a Hz value come from one double-double product,
+  omega times 10**k/2pi from an exact table (Dekker's error-free product;
+  Dekker 1971, Ogita, Rump & Oishi 2005); those of a plain value from x
+  times 10**k, or straight from int64 when every value of the block is a
+  whole number below 2**53.  Its digits are placed by Decimal's layout for
+  Hz and by ``'g'``'s, less trailing zeros, for plain columns, without a
+  point or fraction columns where no row of an exponent keeps a
+  fraction; the block's bytes are written in one call, straight from the
+  matrix once the padding is dropped.
 - Reading copies the file, in chunks of at most ``_CHUNK`` bytes cut
   after a "\n", into one zero-padded buffer, splits each chunk at its ","
   and "\n" bytes and parses every token straight from the buffer: its
-  digits times a power of ten, times 2pi for Hz, as a double-double.
-  Uncertified tokens are parsed once every chunk has been split.  A file
-  holding a blank line, a ragged row, an empty token, no final "\n" or
-  any byte outside printable ASCII but "\n" (every other line break of
-  ``str.splitlines`` among them) is split line by line as text instead,
-  which names the first bad row; the rows it keeps take the same chunk
-  loop.
+  digits times 2pi*10**p for Hz, as one double-double product.  A plain
+  column block whose every coefficient is below 2**53 and every power
+  within 10**+-22 takes one IEEE multiply or divide, correctly rounded on
+  exact operands (Clinger 1990); any other takes digits times 10**p as a
+  double-double.  Uncertified tokens are parsed once every chunk has been
+  split.  A file holding a blank line, a ragged row, an empty token, no
+  final "\n" or any byte outside printable ASCII but "\n" (every other
+  line break of ``str.splitlines`` among them) is split line by line as
+  text instead, which names the first bad row; the rows it keeps take the
+  same chunk loop.
 
 A row keeps the fast result only when it is certified to be the exact
 function's, i.e. when it lies clear of every rounding tie.  Every other
@@ -74,6 +80,16 @@ _FAST_MIN_ROWS = 64    # shorter blocks go row by row: numpy's fixed cost domina
 # overflow and underflow
 _FAST_DECADES = 240
 _MAX_POWER = _FAST_DECADES + 20  # 10**k, |k| <= _MAX_POWER, scales every fast row
+# the power-of-ten tables' factors, as exact integer ratios: 1 for plain
+# columns, 2pi for reading Hz and 1/2pi for writing it
+_PLAIN = (1, 1)
+_HZ_READ = TWO_PI.as_integer_ratio()
+_HZ_WRITE = _HZ_READ[::-1]
+# a coefficient below 2**53 times or over 10**p, 0 <= p <= 22, is one
+# correctly rounded IEEE operation on exact doubles (Clinger 1990)
+_EXACT_COEFFICIENT = 2**53
+_EXACT_POWERS = np.array([float(10**p) for p in range(23)])
+_DIGIT_POWERS = 10 ** np.arange(17, dtype=np.int64)  # counts a whole number's digits
 _MAX_TOKEN = 32        # longer tokens are left to the exact path
 # the least distance, in units of the last place, between a fast result
 # and a rounding tie (or, when rendering, a quotient with fewer digits)
@@ -140,19 +156,21 @@ def _dd_multiply(a_hi, a_lo, b_hi, b_lo):
 
 
 @functools.cache
-def _powers_of_ten() -> tuple:
-    """10**k as double-double (hi, lo) arrays, indexed by k + _MAX_POWER.
+def _powers_of_ten(ratio=_PLAIN) -> tuple:
+    """10**k times the factor a/b of ``ratio = (a, b)``, as double-double
+    (hi, lo) arrays indexed by k + _MAX_POWER.
 
-    Built on first use from exact integers; hi is 10**k correctly rounded
-    and lo the rounded remainder.
+    Built on first use from exact integers; hi is the product correctly
+    rounded and lo the rounded remainder.
     """
+    a, b = ratio
     hi, lo = [], []
     for k in range(-_MAX_POWER, _MAX_POWER + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        num, den = (a * 10**k, b) if k >= 0 else (a, b * 10**-k)
         h = num / den
-        a, b = h.as_integer_ratio()
+        m, n = h.as_integer_ratio()
         hi.append(h)
-        lo.append((num * b - a * den) / (den * b))
+        lo.append((num * n - m * den) / (den * n))
     return np.array(hi), np.array(lo)
 
 
@@ -198,28 +216,29 @@ def _encode_block(x, hz: bool) -> np.ndarray:
     rows = np.flatnonzero((magnitude >= 10.0**-_FAST_DECADES)
                           & (magnitude <= 10.0**_FAST_DECADES))
     q = magnitude[rows]
-    q_lo = 0.0
-    if hz:
-        m = q
-        q = m / TWO_PI
-        p, e = _two_product(q, TWO_PI)
-        q_lo = ((m - p) - e) / TWO_PI   # m/TWO_PI == q + q_lo to about 2**-104
-    # scale by 10**k so that the 17-digit coefficient is the integer part
-    k = 16 - np.floor(np.log10(q)).astype(np.intp)
-    hi, lo = _powers_of_ten()
-    s, t = _dd_multiply(q, q_lo, hi[k + _MAX_POWER], lo[k + _MAX_POWER])
-    # s is an integer (>= 2**53) whenever the coefficient is in range
-    t_floor = np.floor(t)
-    frac = t - t_floor
-    whole = s.astype(np.int64) + t_floor.astype(np.int64)
-    coefficient = whole + (frac > 0.5)
-    # a tie is decided by the exact path, and so is an exact Hz quotient,
-    # which Decimal writes without trailing zeros
-    certified = ((whole >= 10**16) & (coefficient < 10**17)
-                 & (np.abs(frac - 0.5) > _MARGIN))
-    if hz:
-        certified &= (frac > _MARGIN) & (frac < 1.0 - _MARGIN)
-    rows, k, coefficient = rows[certified], k[certified], coefficient[certified]
+    if not hz and (q < _EXACT_COEFFICIENT).all() and (q == np.floor(q)).all():
+        # whole numbers: the 17-digit coefficient is exact in int64, and certified
+        whole = q.astype(np.int64)
+        k = 17 - np.searchsorted(_DIGIT_POWERS, whole, side="right")
+        coefficient = whole * _DIGIT_POWERS[k]
+    else:
+        # scale by 10**k (by 10**k/2pi for Hz) so that the 17-digit
+        # coefficient is the integer part
+        k = 16 - np.floor(np.log10(q / TWO_PI if hz else q)).astype(np.intp)
+        hi, lo = _powers_of_ten(_HZ_WRITE if hz else _PLAIN)
+        s, t = _dd_multiply(q, 0.0, hi[k + _MAX_POWER], lo[k + _MAX_POWER])
+        # s is an integer (>= 2**53) whenever the coefficient is in range
+        t_floor = np.floor(t)
+        frac = t - t_floor
+        whole = s.astype(np.int64) + t_floor.astype(np.int64)
+        coefficient = whole + (frac > 0.5)
+        # a tie is decided by the exact path, and so is an exact Hz quotient,
+        # which Decimal writes without trailing zeros
+        certified = ((whole >= 10**16) & (coefficient < 10**17)
+                     & (np.abs(frac - 0.5) > _MARGIN))
+        if hz:
+            certified &= (frac > _MARGIN) & (frac < 1.0 - _MARGIN)
+        rows, k, coefficient = rows[certified], k[certified], coefficient[certified]
     # the 17 digits of every coefficient as characters, from two int32
     # halves: eight digits (with a leading zero) and nine
     high = coefficient // 10**9
@@ -246,8 +265,11 @@ def _encode_block(x, hz: bool) -> np.ndarray:
         point = np.full((chosen.size, 1), 46, dtype=np.uint8)
         if not hz:  # 'g' drops trailing fractional zeros, and then a bare point
             keep = np.maximum(last[chosen], cut)
-            d[cut:] *= np.arange(cut, 17)[:, None] < keep
-            point[keep == cut] = 0
+            if np.all(keep == cut):  # no row keeps a fraction: no point column
+                d, mid = d[:cut], ""
+            else:
+                d[cut:] *= np.arange(cut, 17)[:, None] < keep
+                point[keep == cut] = 0
         head, tail = (np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8),
                                       (chosen.size, len(text))) for text in (head, tail))
         parts = [head, d[:cut].T, point, d[cut:].T, tail] if mid else [head, d.T, tail]
@@ -260,9 +282,9 @@ def _encode_block(x, hz: bool) -> np.ndarray:
     return out
 
 
-def _parse_block(stream, starts, length, scale) -> tuple:
-    """``(values, certified)``: the exact value of every token, times
-    scale (2pi or 1), where ``certified`` is set.  Token i is the
+def _parse_block(stream, starts, length, hz: bool) -> tuple:
+    """``(values, certified)``: the exact value of every token, times 2pi
+    for hz, where ``certified`` is set.  Token i is the
     ``length[i]`` bytes of ``stream`` from ``starts[i]``; the stream ends in
     ``_MAX_TOKEN`` zero bytes."""
     n = starts.size
@@ -325,11 +347,16 @@ def _parse_block(stream, starts, length, scale) -> tuple:
         power[exponent] += np.where(sign == 45, -value, value)
     ok &= np.abs(power + significant - 1) <= _FAST_DECADES
     coefficient, power = np.where(ok, coefficient, 0), np.where(ok, power, 0)
-    hi, lo = _powers_of_ten()
     c_hi = coefficient.astype(float)
+    if (not hz and (coefficient < _EXACT_COEFFICIENT).all()
+            and (np.abs(power) < _EXACT_POWERS.size).all()):
+        # exact operands: one correctly rounded operation, no tie to test
+        scale = _EXACT_POWERS[np.abs(power)]
+        value = np.where(power < 0, c_hi / scale, c_hi * scale)
+        return np.where(negative, -value, value), ok
+    hi, lo = _powers_of_ten(_HZ_READ if hz else _PLAIN)
     c_lo = (coefficient - c_hi.astype(np.int64)).astype(float)
-    x_hi, x_lo = _dd_multiply(c_hi, c_lo, hi[power + _MAX_POWER], lo[power + _MAX_POWER])
-    value, rest = _dd_multiply(x_hi, x_lo, scale, 0.0)
+    value, rest = _dd_multiply(c_hi, c_lo, hi[power + _MAX_POWER], lo[power + _MAX_POWER])
     # the nearest double is value unless the exact product may sit on the
     # tie between value and its neighbour on the side of rest
     neighbour = (value.view(np.int64) + np.where(rest < 0, -1, 1)).view(float)
@@ -365,7 +392,7 @@ class Table:
                 block = np.concatenate([part for field in fields
                                         for part in (field, comma)], axis=1)
                 block[:, -1] = 10
-                out.write(block[block != 0].tobytes())
+                out.write(block[block != 0])
 
     def read(self, path) -> list:
         """Return one float array per header column (rad/s for Hz)."""
@@ -385,7 +412,12 @@ class Table:
         first chunk the line-by-line split would cut otherwise.  Uncertified
         tokens are parsed after the last chunk, column by column."""
         width = len(self.header)
-        columns = [np.empty(data.count(b"\n", begin)) for _ in self.header]
+        # counted a chunk at a time: a mask of the whole file would add its
+        # size to the peak memory of the read
+        view = np.frombuffer(data, dtype=np.uint8, offset=begin)
+        total = sum(np.count_nonzero(view[i:i + _CHUNK] == 10)
+                    for i in range(0, view.size, _CHUNK))
+        columns = [np.empty(total) for _ in self.header]
         pending = [[] for _ in self.header]  # (row, first byte, end) of each exact parse
         buffer = np.zeros(0, dtype=np.uint8)
         row = 0
@@ -417,7 +449,7 @@ class Table:
                 starts = ends[:, i - 1] + 1 if i else np.concatenate(([0], ends[:-1, -1] + 1))
                 length = ends[:, i] - starts
                 fast, certified = _parse_block(buffer[:size + _MAX_TOKEN], starts, length,
-                                               TWO_PI if name in self.hz else 1.0)
+                                               name in self.hz)
                 columns[i][row:row + count] = fast
                 exact = np.flatnonzero(~certified)
                 pending[i] += zip((row + exact).tolist(), (begin + starts[exact]).tolist(),

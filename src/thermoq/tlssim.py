@@ -106,6 +106,9 @@ class EnsembleConfig:
         for name in ("coupling_scale", "base_gamma1"):
             if not getattr(self, name) >= 0:
                 raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_tls > 0 and not self.coupling_scale > 0:
+            raise DomainError(f"coupling_scale must be > 0 for n_tls > 0, "
+                              f"got {self.coupling_scale}")
 
 
 @dataclass(eq=False)

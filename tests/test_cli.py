@@ -499,6 +499,17 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["tls-sim", "--mode", "microscopic"], ["tls-sim", "--mode", "phenomenological"],
+        ["campaign", "--mode", "microscopic"], ["campaign", "--mode", "phenomenological"],
+        ["rates"]])
+    def test_zero_coupling_scale_is_refused_in_every_mode(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, **{"tls.coupling_scale_hz": 0.0})
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "error: tls: coupling_scale must be > 0 for n_tls > 0, got 0.0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_short_series_knee_fit_writes_nothing(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         io.write_time_series(series, TimeSeries(0.0, 10.0, 2e7 + np.arange(64.0)))

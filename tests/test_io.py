@@ -218,6 +218,112 @@ def test_fast_path_takes_nearly_every_row(tmp_path, monkeypatch):
     assert all(count <= n // 1000 for count in calls.values()), calls
 
 
+@pytest.mark.parametrize("factor, ratio", [
+    (Fraction(1), io._PLAIN), (Fraction(TWO_PI), io._HZ_READ),
+    (1 / Fraction(TWO_PI), io._HZ_WRITE)])
+def test_power_tables_are_correctly_rounded(factor, ratio):
+    hi, lo = io._powers_of_ten(ratio)
+    for k in range(-io._MAX_POWER, io._MAX_POWER + 1):
+        exact = Fraction(10) ** k * factor
+        assert hi[k + io._MAX_POWER] == float(exact), k
+        assert lo[k + io._MAX_POWER] == float(exact - Fraction(hi[k + io._MAX_POWER])), k
+
+
+def table_calls(monkeypatch):
+    """Count the power-of-ten table lookups, which only the general path makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tables(*args)
+
+    tables = io._powers_of_ten
+    monkeypatch.setattr(io, "_powers_of_ten", counted)
+    return calls
+
+
+def read_column(path, tokens):
+    path.write_text("x\n" + "".join(f"{t}\n" for t in tokens), encoding="utf-8")
+    read, = io.Table(("x",)).read(path)
+    return read
+
+
+def double_rounded(power, count=4):
+    """Tokens c*10**power, c < 2**53, that one IEEE operation with the
+    rounded 10**|power| gets wrong."""
+    scale = float(10 ** abs(power))
+    found = []
+    for c in range(1, 10**6):
+        if (c * scale if power > 0 else c / scale) != float(f"{c}e{power:+d}"):
+            found.append(f"{c}e{power:+d}")
+            if len(found) == count:
+                return found
+
+
+# short tokens that alone take the one-operation path
+SHORT_TOKENS = [f"{i}.{i % 7}e{i % 44 - 21:+d}" for i in range(1, 70)]
+
+
+@pytest.mark.parametrize("edge, shortcut", [
+    # coefficients 2**53 - 1 and 2**53 + 1 over every power the shortcut takes
+    ([f"{s}{2**53 - 1}e{p:+d}" for s in ("", "-") for p in range(-22, 23)], True),
+    ([f"{s}{2**53 + 1}e{p:+d}" for s in ("", "-") for p in range(-22, 23)], False),
+    (["1e+22", "-4722366482869645e+22", "1e-22", "-4722366482869645e-22"], True),
+    (double_rounded(23), False),
+    (double_rounded(-23), False),
+])
+def test_one_operation_read_bounds(tmp_path, monkeypatch, edge, shortcut):
+    """A plain block reads with one IEEE operation only where every
+    coefficient is below 2**53 and every power within 10**+-22; just
+    outside, one rounded operand would round twice."""
+    calls, parses = table_calls(monkeypatch), []
+    monkeypatch.setattr(io, "_parse", lambda *args: parses.append(args) or float(args[1]))
+    tokens = SHORT_TOKENS + edge
+    read = read_column(tmp_path / "x.csv", tokens)
+    assert read.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    assert (calls == []) == shortcut
+    assert parses == [] or not shortcut  # 2**53 + 1 is a tie, left to the exact path
+
+
+WHOLE = [float(v) for v in range(1, 40)] + [float(10**j + d) for j in range(1, 16)
+                                            for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("edge, shortcut", [
+    ([2**53 - 1], True), ([2**53], False), ([10**16 - 1], False), ([10**16], False),
+    ([10**17, 2**60], False), ([2**53 - 1, 0.5], False),
+    # zeros and magnitudes the exact path takes leave the rest to the shortcut
+    ([2**53 - 1, 0.0, 1e-300], True),
+])
+def test_whole_number_write_bounds(tmp_path, monkeypatch, edge, shortcut):
+    """A plain block of whole numbers below 2**53 takes its digits from
+    int64; one larger or non-whole value sends the block down the general
+    path.  Either way the bytes are those of the exact function."""
+    calls = table_calls(monkeypatch)
+    values = np.array([sign * float(v) for v in WHOLE + edge for sign in (1, -1)])
+    path = tmp_path / "x.csv"
+    io.Table(("x",)).write(path, (values,))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [io._render_float(x) for x in values.tolist()]
+    assert (calls == []) == shortcut
+    read, = io.Table(("x",)).read(path)
+    assert read.tobytes() == values.tobytes()
+
+
+def test_g_groups_drop_the_point_only_where_no_row_keeps_a_fraction():
+    """Within one exponent and sign, rows with and without a fraction; the
+    groups with none are laid out without their empty point and fraction."""
+    mixed = [12.0, 12.5, 13.0, 99.25, 10.0, 17.125, -12.0, -12.5, 1e20, 1.5e20, 3e-7,
+             3.25e-7, 0.001, 0.0015]
+    whole = [100.0, 200.0, 900.0, -300.0, -400.0, 5e20, 7e-7]
+    values = np.resize(np.array(mixed + whole), 90)
+    tokens = io._encode_block(values, False)
+    assert [bytes(row[row != 0]).decode() for row in tokens] == \
+        [io._render_float(x) for x in values.tolist()]
+    integers = io._encode_block(np.arange(1, 91) * 10.0, False)
+    assert integers.shape[1] == 3 and (integers != 0).any(axis=0).all()
+
+
 def convergents(x):
     """Continued-fraction convergents p/q of the Fraction x."""
     p0, q0, p1, q1 = 0, 1, 1, 0

@@ -174,6 +174,13 @@ class TestSampleEnsemble:
         with pytest.raises(DomainError, match=f"^{name} must be >= 0, got {value}$"):
             dataclasses.replace(make_config(), **{name: value})
 
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    def test_zero_coupling_is_refused_unless_the_ensemble_is_empty(self, value):
+        with pytest.raises(DomainError,
+                           match=f"^coupling_scale must be > 0 for n_tls > 0, got {value}$"):
+            make_config(n_tls=1, coupling_scale=value)
+        assert make_config(n_tls=0, coupling_scale=value).coupling_scale == 0.0
+
 
 class TestSimulateMicroscopic:
     def test_empty_ensemble_is_constant_baseline(self):
