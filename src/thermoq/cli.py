@@ -75,8 +75,8 @@ def _sha256(path: Path) -> str:
         return hashlib.file_digest(stream, "sha256").hexdigest()
 
 
-def _integer_at_least(minimum: int):
-    """An argparse type accepting integers >= ``minimum``."""
+def _integer_at_least(minimum: int, maximum: int | None = None):
+    """An argparse type accepting integers >= ``minimum`` (and <= ``maximum``)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -86,6 +86,9 @@ def _integer_at_least(minimum: int):
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {maximum}, got {value}")
         return value
     return parse
 
@@ -103,6 +106,10 @@ def _finite_float(text: str) -> float:
 
 
 _positive_int = _integer_at_least(1)
+# every sweep point is one Python-level model evaluation: 2**20 of them
+# take seconds and about 0.2 GB, and each tenfold more ten times that
+_MAX_POINTS = 2**20
+_points = _integer_at_least(1, _MAX_POINTS)
 _seed = _integer_at_least(0)
 
 
@@ -348,7 +355,7 @@ _COMMANDS = {
     "rates": _Command("cmd_rates", "decoherence rate budget as JSON"),
     "stark-sweep": _Command(
         "cmd_stark_sweep", "model ac-Stark shift vs readout temperature", arguments=(
-            *_T_RANGE, ("--points", dict(type=_positive_int, default=15)),
+            *_T_RANGE, ("--points", dict(type=_points, default=15)),
             ("--alpha", dict(type=_finite_float, default=None,
                              help="line attenuation (default: readout port value)")))),
     "calibrate": _Command(
@@ -361,10 +368,10 @@ _COMMANDS = {
     "gamma1-sweep": _Command(
         "cmd_gamma1_sweep", "relaxation-rate models vs photon number",
         arguments=(("--n-max", dict(type=_finite_float, default=2.0)),
-                   ("--points", dict(type=_positive_int, default=41)))),
+                   ("--points", dict(type=_points, default=41)))),
     "dephasing-sweep": _Command(
         "cmd_dephasing_sweep", "second-order antenna dephasing vs temperature",
-        arguments=(*_T_RANGE, ("--points", dict(type=_positive_int, default=30)))),
+        arguments=(*_T_RANGE, ("--points", dict(type=_points, default=30)))),
     "tls-sim": _Command("cmd_tls_sim", "simulate a fluctuating gamma1(t) record",
                         seeded=True, arguments=(_MODE,)),
     "psd-fit": _Command(

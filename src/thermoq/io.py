@@ -16,45 +16,56 @@ The exact functions ``_render_hz`` and ``_parse_hz`` (``Decimal`` and
 travel as bytes, without a Python string per row:
 
 - Writing turns each column of a block of ``_BLOCK`` rows into a
-  NUL-padded (rows, width) uint8 matrix.  The 17-digit coefficient and
+  NUL-padded (rows, width) uint8 matrix.  A plain block whose every value
+  is a whole number below 2**53 is its int64 digits, right-aligned after
+  the padding and a "-" wherever the sign bit is set: ``'.17g'`` exactly,
+  zeros included.  In any other block the 17-digit coefficient and
   decimal exponent of a Hz value come from one double-double product,
   omega times 10**k/2pi from an exact table (Dekker's error-free product;
-  Dekker 1971, Ogita, Rump & Oishi 2005); those of a plain value from x
-  times 10**k, or straight from int64 when every value of the block is a
-  whole number below 2**53.  Its digits are placed by Decimal's layout for
-  Hz and by ``'g'``'s, less trailing zeros, for plain columns, without a
-  point or fraction columns where no row of an exponent keeps a
-  fraction; the block's bytes are written in one call, straight from the
-  matrix once the padding is dropped.
+  Dekker 1971, Ogita, Rump & Oishi 2005), and those of a plain value from
+  x times 10**k.  Their digits are placed by Decimal's layout for Hz and
+  by ``'g'``'s, less trailing zeros, for plain columns, without a point
+  or fraction columns where no row of an exponent keeps a fraction.  The
+  block's bytes are written in one call, straight from the matrix once
+  the padding is dropped.
 - Reading copies the file, in chunks of at most ``_CHUNK`` bytes cut
   after a "\n", into one zero-padded buffer, splits each chunk at its ","
-  and "\n" bytes and parses every token straight from the buffer: its
-  digits times 2pi*10**p for Hz, as one double-double product.  A plain
-  column block whose every coefficient is below 2**53 and every power
-  within 10**+-22 takes one IEEE multiply or divide, correctly rounded on
-  exact operands (Clinger 1990); any other takes digits times 10**p as a
-  double-double.  Uncertified tokens are parsed once every chunk has been
-  split.  A file holding a blank line, a ragged row, an empty token, no
-  final "\n" or any byte outside printable ASCII but "\n" (every other
-  line break of ``str.splitlines`` among them) is split line by line as
-  text instead, which names the first bad row; the rows it keeps take the
-  same chunk loop.
+  and "\n" bytes and parses each column block straight from the buffer.
+  The first token not yet read, if of the form ``-?d+(.d+)?`` with at
+  most 18 digits, is a template: every token of its length is checked
+  against its layout in one comparison, and the tokens that match are
+  read together, by Horner over their digit places and with one power of
+  ten (the common-case path of Lemire 2021).  A few templates are tried,
+  each only where half the next 64 tokens have its length; a per-token
+  scanner finds the sign, point, exponent and first digit of the rest.
+  Either way a Hz token is its digits times 2pi*10**p, one double-double
+  product.  Plain tokens whose every coefficient is below 2**53 and every
+  power within 10**+-22 take one IEEE multiply or divide, correctly
+  rounded on exact operands (Clinger 1990); any others take digits times
+  10**p as a double-double.  Uncertified tokens are parsed once every
+  chunk has been split.  A file holding a blank line, a ragged row, an
+  empty token, no final "\n" or any byte outside printable ASCII but
+  "\n" (every other line break of ``str.splitlines`` among them) is split
+  line by line as text instead, which names the first bad row; the rows
+  it keeps take the same chunk loop.
 
 A row keeps the fast result only when it is certified to be the exact
 function's, i.e. when it lies clear of every rounding tie.  Every other
 row goes through the exact function: ties and near-ties, Hz quotients
-that Decimal writes with fewer than 17 digits, zeros, magnitudes beyond
-1e+-240, tokens outside the strict form ``-?d+(.d+)?([Ee][+-]d{1,3})?``
-with at most 18 significant digits, and every block or chunk under
-``_FAST_MIN_ROWS`` rows.  The bytes on disk and the values read back are
-the same as with the exact functions alone.  A non-finite value is
-refused before its file is opened, since no reader would take it back.
+that Decimal writes with fewer than 17 digits, zeros (but those of a
+whole-number block written), magnitudes beyond 1e+-240, tokens outside
+the strict form ``-?d+(.d+)?([Ee][+-]d{1,3})?`` with at most 18
+significant digits, and every block or chunk under ``_FAST_MIN_ROWS``
+rows.  The bytes on disk and the values read back are the same as with
+the exact functions alone.  A non-finite value is refused before its
+file is opened, since no reader would take it back.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
@@ -91,6 +102,16 @@ _EXACT_COEFFICIENT = 2**53
 _EXACT_POWERS = np.array([float(10**p) for p in range(23)])
 _DIGIT_POWERS = 10 ** np.arange(17, dtype=np.int64)  # counts a whole number's digits
 _MAX_TOKEN = 32        # longer tokens are left to the exact path
+# a template token's layout; it may hold 18 digits, those of one int64
+_TEMPLATE = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?")
+_TEMPLATES = 4         # layouts tried per block: each one costs a pass over the block
+# a template is tried only where at least half of the next _TEMPLATE_SAMPLE
+# tokens share its length, so a block whose layout changes row to row
+# costs the scanner no more than one look at that sample
+_TEMPLATE_SAMPLE = 64
+# stop after a template that takes under 1/_TEMPLATE_YIELD of the tokens
+# left: the block's layouts are too many for another pass to pay
+_TEMPLATE_YIELD = 4
 # the least distance, in units of the last place, between a fast result
 # and a rounding tie (or, when rendering, a quotient with fewer digits)
 _MARGIN = 1e-6
@@ -206,6 +227,26 @@ def _text_matrix(tokens) -> np.ndarray:
     return text.view(np.uint8).reshape(text.size, text.itemsize)
 
 
+def _whole_numbers(x) -> np.ndarray:
+    """``_render_float`` of every element of x, each a whole number below
+    2**53 in magnitude (zeros included), as a NUL-padded (rows, width)
+    uint8 matrix: the int64 digits right-aligned, after a "-" wherever the
+    sign bit is set."""
+    whole = np.abs(x).astype(np.int64)
+    count = np.maximum(np.searchsorted(_DIGIT_POWERS, whole, side="right"), 1)
+    negative = np.flatnonzero(np.signbit(x))
+    width = int(count.max()) + (negative.size > 0)
+    chars = np.zeros((width, x.size), dtype=np.uint8)
+    for place in range(width - 1, width - 1 - int(count.max()), -1):
+        quotient = whole // 10
+        chars[place] = whole - 10 * quotient
+        whole = quotient
+    chars += 48
+    chars *= np.arange(width)[:, None] >= width - count  # NUL before the digits
+    chars[width - 1 - count[negative], negative] = 45
+    return chars.T
+
+
 def _encode_block(x, hz: bool) -> np.ndarray:
     """``_render_hz`` (hz) or ``_render_float`` of every element of the
     1-D array x, as a NUL-padded (rows, width) uint8 matrix."""
@@ -213,32 +254,52 @@ def _encode_block(x, hz: bool) -> np.ndarray:
     if x.size < _FAST_MIN_ROWS:
         return _text_matrix(list(map(render, x.tolist())))
     magnitude = np.abs(x)
-    rows = np.flatnonzero((magnitude >= 10.0**-_FAST_DECADES)
-                          & (magnitude <= 10.0**_FAST_DECADES))
-    q = magnitude[rows]
+    in_range = (magnitude >= 10.0**-_FAST_DECADES) & (magnitude <= 10.0**_FAST_DECADES)
+    q = magnitude[in_range]
     if not hz and (q < _EXACT_COEFFICIENT).all() and (q == np.floor(q)).all():
-        # whole numbers: the 17-digit coefficient is exact in int64, and certified
-        whole = q.astype(np.int64)
-        k = 17 - np.searchsorted(_DIGIT_POWERS, whole, side="right")
-        coefficient = whole * _DIGIT_POWERS[k]
+        # whole numbers, zeros included, are their own int64 digits; the
+        # exact path takes the magnitudes beyond 10**+-_FAST_DECADES
+        fast = in_range | (magnitude == 0)
+        if fast.all():
+            return _whole_numbers(x)
+        rows = np.flatnonzero(fast)
+        placed = [(rows, _whole_numbers(x[rows]))]
     else:
-        # scale by 10**k (by 10**k/2pi for Hz) so that the 17-digit
-        # coefficient is the integer part
-        k = 16 - np.floor(np.log10(q / TWO_PI if hz else q)).astype(np.intp)
-        hi, lo = _powers_of_ten(_HZ_WRITE if hz else _PLAIN)
-        s, t = _dd_multiply(q, 0.0, hi[k + _MAX_POWER], lo[k + _MAX_POWER])
-        # s is an integer (>= 2**53) whenever the coefficient is in range
-        t_floor = np.floor(t)
-        frac = t - t_floor
-        whole = s.astype(np.int64) + t_floor.astype(np.int64)
-        coefficient = whole + (frac > 0.5)
-        # a tie is decided by the exact path, and so is an exact Hz quotient,
-        # which Decimal writes without trailing zeros
-        certified = ((whole >= 10**16) & (coefficient < 10**17)
-                     & (np.abs(frac - 0.5) > _MARGIN))
-        if hz:
-            certified &= (frac > _MARGIN) & (frac < 1.0 - _MARGIN)
-        rows, k, coefficient = rows[certified], k[certified], coefficient[certified]
+        rows, placed = _scaled_digits(x, np.flatnonzero(in_range), q, hz)
+    exact = np.ones(x.size, dtype=bool)
+    exact[rows] = False
+    tokens = list(map(render, x[exact].tolist()))
+    if tokens:
+        placed.append((np.flatnonzero(exact), _text_matrix(tokens)))
+    if len(placed) == 1 and rows.size == x.size:
+        return placed[0][1]
+    out = np.zeros((x.size, max(token.shape[1] for _, token in placed)), dtype=np.uint8)
+    for at, token in placed:
+        out[at, :token.shape[1]] = token
+    return out
+
+
+def _scaled_digits(x, rows, q, hz: bool) -> tuple:
+    """``(rows, placed)``: the rows of x among ``rows`` (whose magnitudes
+    are q) that take their 17 digits from one double-double product, and
+    their ``(rows, token matrix)`` groups, one per decimal exponent and sign."""
+    # scale by 10**k (by 10**k/2pi for Hz) so that the 17-digit
+    # coefficient is the integer part
+    k = 16 - np.floor(np.log10(q / TWO_PI if hz else q)).astype(np.intp)
+    hi, lo = _powers_of_ten(_HZ_WRITE if hz else _PLAIN)
+    s, t = _dd_multiply(q, 0.0, hi[k + _MAX_POWER], lo[k + _MAX_POWER])
+    # s is an integer (>= 2**53) whenever the coefficient is in range
+    t_floor = np.floor(t)
+    frac = t - t_floor
+    whole = s.astype(np.int64) + t_floor.astype(np.int64)
+    coefficient = whole + (frac > 0.5)
+    # a tie is decided by the exact path, and so is an exact Hz quotient,
+    # which Decimal writes without trailing zeros
+    certified = ((whole >= 10**16) & (coefficient < 10**17)
+                 & (np.abs(frac - 0.5) > _MARGIN))
+    if hz:
+        certified &= (frac > _MARGIN) & (frac < 1.0 - _MARGIN)
+    rows, k, coefficient = rows[certified], k[certified], coefficient[certified]
     # the 17 digits of every coefficient as characters, from two int32
     # halves: eight digits (with a leading zero) and nine
     high = coefficient // 10**9
@@ -249,10 +310,7 @@ def _encode_block(x, hz: bool) -> np.ndarray:
         digits[:, i] = half - 10 * quotient + 48
         half = quotient
     digits = digits.reshape(18, rows.size)[1:]
-    exact = np.ones(x.size, dtype=bool)
-    exact[rows] = False
-    tokens = list(map(render, x[exact].tolist()))
-    placed = [(np.flatnonzero(exact), _text_matrix(tokens))] if tokens else []
+    placed = []
     # one layout per decimal exponent and sign
     key = 2 * k + (x[rows] < 0)
     low = int(key.min(initial=0))
@@ -274,22 +332,68 @@ def _encode_block(x, hz: bool) -> np.ndarray:
                                       (chosen.size, len(text))) for text in (head, tail))
         parts = [head, d[:cut].T, point, d[cut:].T, tail] if mid else [head, d.T, tail]
         placed.append((rows[chosen], np.concatenate(parts, axis=1)))
-    if len(placed) == 1 and rows.size == x.size:
-        return placed[0][1]
-    out = np.zeros((x.size, max(token.shape[1] for _, token in placed)), dtype=np.uint8)
-    for at, token in placed:
-        out[at, :token.shape[1]] = token
-    return out
+    return rows, placed
 
 
 def _parse_block(stream, starts, length, hz: bool) -> tuple:
     """``(values, certified)``: the exact value of every token, times 2pi
     for hz, where ``certified`` is set.  Token i is the
     ``length[i]`` bytes of ``stream`` from ``starts[i]``; the stream ends in
-    ``_MAX_TOKEN`` zero bytes."""
+    ``_MAX_TOKEN`` zero bytes.  Tokens that share the layout of a template
+    token are read together; ``_scan`` reads the rest one by one."""
     n = starts.size
     if n < _FAST_MIN_ROWS:
         return np.zeros(n), np.zeros(n, dtype=bool)
+    rest, parsed = np.arange(n), []  # the tokens no template took, and the taken
+    for _ in range(_TEMPLATES):
+        size = int(length[rest[0]])
+        template = stream[starts[rest[0]]:starts[rest[0]] + size]
+        text = template.tobytes()
+        if (not _TEMPLATE.fullmatch(text)
+                or size - text.startswith(b"-") - (b"." in text) > 18
+                or 2 * np.count_nonzero(length[rest[:_TEMPLATE_SAMPLE]] == size)
+                < min(rest.size, _TEMPLATE_SAMPLE)):
+            break
+        digit = template - np.uint8(48) < 10
+        same = length[rest] == size
+        group = rest[same]
+        windows = np.ndarray((stream.size - size + 1,), dtype=f"V{size}", buffer=stream,
+                             strides=(1,))
+        chars = np.ascontiguousarray(
+            windows[starts[group]].view(np.uint8).reshape(group.size, size).T)
+        # every place holds the template's byte, or a digit where it has one:
+        # less the template's byte (or "0"), it is at most 0 (or 9)
+        chars -= np.where(digit, np.uint8(48), template)[:, None]
+        match = np.logical_and.reduce(chars <= np.where(digit, 9, 0).astype(np.uint8)[:, None])
+        coefficient = np.zeros(group.size, dtype=np.int64)
+        for row in chars[digit]:
+            coefficient *= 10
+            coefficient += row
+        coefficient = coefficient[match]
+        point = text.find(b".")
+        value, certain = _scaled(coefficient, point + 1 - size if point >= 0 else 0, hz)
+        same[same] = match
+        # a zero coefficient takes the exact path, which keeps the sign of zero
+        parsed.append((rest[same], -value if text.startswith(b"-") else value,
+                       certain & (coefficient != 0)))
+        taken, rest = parsed[-1][0].size, rest[~same]
+        if _TEMPLATE_YIELD * taken < taken + rest.size or not rest.size:
+            break
+    if not parsed:
+        del rest  # so that the scanner's temporaries alone set the peak memory
+        return _scan(stream, starts, length, hz)
+    values, certified = np.empty(n), np.zeros(n, dtype=bool)
+    for taken, value, certain in parsed:
+        values[taken], certified[taken] = value, certain
+    if rest.size:
+        values[rest], certified[rest] = _scan(stream, starts[rest], length[rest], hz)
+    return values, certified
+
+
+def _scan(stream, starts, length, hz: bool) -> tuple:
+    """``_parse_block`` of tokens of any layout, each scanned for its sign,
+    point, exponent and first significant digit."""
+    n = starts.size
     width = min(-(-int(length.max()) // 4) * 4, _MAX_TOKEN)
     windows = np.ndarray((stream.size - width + 1,), dtype=f"V{width}", buffer=stream,
                          strides=(1,))
@@ -347,21 +451,26 @@ def _parse_block(stream, starts, length, hz: bool) -> tuple:
         power[exponent] += np.where(sign == 45, -value, value)
     ok &= np.abs(power + significant - 1) <= _FAST_DECADES
     coefficient, power = np.where(ok, coefficient, 0), np.where(ok, power, 0)
+    value, certain = _scaled(coefficient, power, hz)
+    return np.where(negative, -value, value), ok & certain
+
+
+def _scaled(coefficient, power, hz: bool) -> tuple:
+    """``(value, certain)``: the int64 coefficient times 10**power (times
+    2pi for hz) rounded to the nearest double, exact where ``certain``."""
     c_hi = coefficient.astype(float)
     if (not hz and (coefficient < _EXACT_COEFFICIENT).all()
             and (np.abs(power) < _EXACT_POWERS.size).all()):
         # exact operands: one correctly rounded operation, no tie to test
         scale = _EXACT_POWERS[np.abs(power)]
-        value = np.where(power < 0, c_hi / scale, c_hi * scale)
-        return np.where(negative, -value, value), ok
+        return np.where(power < 0, c_hi / scale, c_hi * scale), True
     hi, lo = _powers_of_ten(_HZ_READ if hz else _PLAIN)
     c_lo = (coefficient - c_hi.astype(np.int64)).astype(float)
     value, rest = _dd_multiply(c_hi, c_lo, hi[power + _MAX_POWER], lo[power + _MAX_POWER])
     # the nearest double is value unless the exact product may sit on the
     # tie between value and its neighbour on the side of rest
     neighbour = (value.view(np.int64) + np.where(rest < 0, -1, 1)).view(float)
-    ok &= np.abs(rest) < (1.0 - _MARGIN) * np.abs(neighbour - value) / 2
-    return np.where(negative, -value, value), ok
+    return value, np.abs(rest) < (1.0 - _MARGIN) * np.abs(neighbour - value) / 2
 
 
 @dataclass(frozen=True)

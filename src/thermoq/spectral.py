@@ -141,7 +141,11 @@ def psd_estimate(series: TimeSeries, bins_per_decade: int = 16) -> Spectrum:
     raw = periodogram(series)
     lo, hi = raw.omegas[0], raw.omegas[-1]
     decades = math.log10(hi / lo)
-    n_bins = max(1, math.ceil(bins_per_decade * decades))
+    # the K raw points k*dw lie at least log10(K/(K-1)) apart, so with
+    # `most` bins (each under half that wide) every bin holds one point at
+    # most, and more bins give the same spectrum; clamped before multiplying
+    most = 2 * math.ceil(decades / math.log10(raw.omegas.size / (raw.omegas.size - 1)))
+    n_bins = max(1, min(math.ceil(min(bins_per_decade, most) * decades), most))
     edges = np.geomspace(lo * (1 - 1e-12), hi * (1 + 1e-12), n_bins + 1)
     # the raw axis ascends, so each bin is one run of it; empty bins drop
     cuts = np.searchsorted(raw.omegas, edges[1:-1])

@@ -309,6 +309,21 @@ class TestPsdFit:
         assert header == ["freq_hz", "psd_w_per_hz"]
         assert rows[0, 0] < rows[-1, 0]
 
+    def test_huge_bin_counts_write_the_finest_spectrum(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert cli.main(["tls-sim", "--config", str(cfg),
+                         "--mode", "phenomenological", "--seed", "7"]) == 0
+        series = str(tmp_path / "out" / "gamma1_series.csv")
+        outputs = []
+        for i, bins in enumerate(["100000", "1000000000000000", "1" + "0" * 400]):
+            out = tmp_path / f"psd_{i}"
+            assert cli.main(["psd-fit", "--input", series, "--bins-per-decade", bins,
+                             "--output-dir", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("spectrum.csv", "psd_fit.json")])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert len(outputs[0][0].splitlines()) == 1 + 600  # one raw point a bin
+
     def test_missing_input_is_validation_error(self, tmp_path):
         assert cli.main(["psd-fit", "--input", str(tmp_path / "nope.csv"),
                          "--output-dir", str(tmp_path)]) == 2
@@ -636,6 +651,10 @@ class TestArgumentTypes:
         ["stark-sweep", "--points", "0"],
         ["dephasing-sweep", "--points", "0"],
         ["dephasing-sweep", "--points", "2.5"],
+        # beyond the cap of 2**20: no array of that size is ever allocated
+        ["stark-sweep", "--points", str(2**20 + 1)],
+        ["gamma1-sweep", "--points", "1000000000000000"],
+        ["dephasing-sweep", "--points", "1" + "0" * 400],
         ["tls-sim", "--seed", "-1"],
         ["campaign", "--seed", "-1"],
     ])
@@ -645,7 +664,7 @@ class TestArgumentTypes:
             cli.main([*argv, "--config", str(cfg)])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith(f"thermoq {argv[0]}: error: ")
+        assert err.splitlines()[-1].startswith(f"thermoq {argv[0]}: error: argument {argv[1]}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -704,6 +723,8 @@ def failing_argvs(name):
             argvs.append([name, flag, "bogus"])
         if flag in ("--points", "--bins-per-decade"):
             argvs.append([name, flag, "-3"])
+        if flag == "--points":
+            argvs.append([*valid_argv(name), flag, "1000000000000000"])
         if flag == "--seed":
             argvs.append([name, flag, "-1"])
     return argvs

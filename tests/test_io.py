@@ -324,6 +324,82 @@ def test_g_groups_drop_the_point_only_where_no_row_keeps_a_fraction():
     assert integers.shape[1] == 3 and (integers != 0).any(axis=0).all()
 
 
+LAYOUTS = ["d.d", "dd.dd", "-d.ddd", "dddd", "d.ddddd"]
+
+
+def with_layout(layout, i):
+    """Token i of ``layout``, such as "d.dd"; none of them is zero."""
+    n = layout.count("d")
+    digits = iter(f"{1 + i % (10**n - 1):0{n}d}")
+    return "".join(next(digits) if c == "d" else c for c in layout)
+
+
+@pytest.mark.parametrize("hz", [False, True])
+@pytest.mark.parametrize("tokens, scanned, exact", [
+    # the first token's layout is in the minority: it takes only itself
+    (["1.25"] + ["12.5", "1250", "-125"] * 30, 90, []),
+    # leading zeros, and a zero that the exact path keeps
+    (["007.50", "000.25", "012.00", "100.01", "000.00"] * 14, 0, ["000.00"] * 14),
+    # 18 digits are one int64; 19 are not, even with a leading zero
+    (["123456789012345678", "900719925474099312", "000000000000000001"] * 22, 0, []),
+    (["12345678.9012345678", "-0000000.0000000001"] * 33, 0, []),
+    (["1234567890123456789", "0123456789012345678"] * 33, 66, ["1234567890123456789"] * 33),
+    (["1.250", "0.000"] * 40, 0, ["0.000"] * 40),
+    (["-12.5", "-99.0", "-00.1", "-0.00"] * 20, 0, ["-0.00"] * 20),
+    # look-alikes of a two-digit template go to the exact functions
+    (["12", "34"] * 40 + ["+5", ".5", "5."], 3, ["+5", ".5", "5."]),
+    (["1.5"] * 70 + ["1-2"], 1, ["1-2"]),
+    # more layouts than templates: the last one goes to the scanner
+    ([with_layout(layout, i) for layout, count in zip(LAYOUTS, (400, 300, 150, 100, 50))
+      for i in range(count)], 50, []),
+], ids=["minority_first", "leading_zeros", "18_digits", "18_digits_two_layouts", "19_digits",
+        "zero", "negative", "look_alikes", "bad_look_alike", "many_layouts"])
+def test_template_reader_boundaries(tmp_path, monkeypatch, hz, tokens, scanned, exact):
+    """Tokens of one layout are read together, whatever digits they hold;
+    every other token is read as before, by the scanner or exactly.  Hz
+    adds the exact parses of the ties of the product by 2pi."""
+    counts, parses = [], []
+    scan, parse = io._scan, io._parse
+    monkeypatch.setattr(io, "_scan", lambda *args: counts.append(args[1].size) or scan(*args))
+    monkeypatch.setattr(io, "_parse", lambda *args: parses.append(args[1]) or parse(*args))
+    table = io.Table(("x",), hz=("x",) if hz else ())
+    path = tmp_path / "x.csv"
+    path.write_text("x\n" + "".join(f"{t}\n" for t in tokens), encoding="utf-8")
+    assert_reads_as_reference(table, path)
+    counts.clear()
+    parses.clear()
+    try:
+        table.read(path)
+    except CsvFormatError:
+        pass
+    assert sum(counts) == scanned
+    assert set(exact) <= set(parses)
+    assert hz or sorted(parses) == sorted(exact)
+
+
+@pytest.mark.parametrize("values, shortcut", [
+    ([0.0] * 64, True),
+    ([-0.0] * 64, True),
+    ([0.0, -0.0, 1.0, -1.0] * 16, True),
+    # one negative value, and it is the widest
+    ([float(v) for v in range(64)] + [-99.0], True),
+    ([float(v) for v in range(64)] + [-5.0], True),
+    ([2.0**53 - 1, -(2.0**53 - 1)] + [float(v) for v in range(64)], True),
+    ([2.0**53] + [float(v) for v in range(64)], False),
+    ([float(v) for v in range(64)] + [0.5], False),
+], ids=["zeros", "negative_zeros", "signed_zeros_and_ones", "one_widest_negative",
+        "one_narrow_negative", "two_to_53_less_1", "two_to_53", "one_fraction"])
+def test_whole_number_tokens(monkeypatch, values, shortcut):
+    """A block of whole numbers below 2**53 is its int64 digits, right-aligned
+    after NULs and a "-" where the sign bit is set: '.17g' exactly."""
+    calls = table_calls(monkeypatch)
+    x = np.array(values)
+    tokens = io._encode_block(x, False)
+    assert [bytes(row[row != 0]).decode() for row in tokens] == \
+        [io._render_float(v) for v in x.tolist()]
+    assert (calls == []) == shortcut
+
+
 def convergents(x):
     """Continued-fraction convergents p/q of the Fraction x."""
     p0, q0, p1, q1 = 0, 1, 1, 0

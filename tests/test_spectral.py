@@ -120,6 +120,18 @@ class TestPeriodogram:
         with pytest.raises(DomainError):
             spectral.psd_estimate(TimeSeries(0.0, 10.0, np.arange(32, dtype=float)))
 
+    def test_bins_finer_than_the_raw_points_change_nothing(self):
+        # 600 raw points: 2,000 bins per decade already leave at most one
+        # point per bin, and counts past the clamp, up to ones no float
+        # holds, give the same spectrum
+        ts = white_series(seed=4)
+        singletons = spectral.psd_estimate(ts, 2000)
+        assert (singletons.bin_counts == 1).all()
+        for bins in (10**15, 10**400):
+            spec = spectral.psd_estimate(ts, bins)
+            for name in ("omegas", "values", "bin_counts"):
+                assert getattr(spec, name).tobytes() == getattr(singletons, name).tobytes()
+
 
 class TestKneeFit:
     def test_zero_noise_model_recovery(self):
