@@ -59,9 +59,5 @@ class IllConditionedError(FitError):
     """Data cannot constrain the requested parameter (degenerate design)."""
 
 
-class NoDecayError(FitError):
-    """Trace shows no statistically significant decay."""
-
-
 class DegenerateDataError(FitError):
     """Data degenerate for the requested fit (e.g. all abscissae equal)."""

@@ -14,10 +14,10 @@ A row stops after 200 trial steps either way.
 Rows stop independently, a row whose fit cannot be formed is flagged
 instead of raised, and no row's arithmetic depends on the others, so a
 row fitted in a batch equals the same fit alone, bit for bit.  Every
-Jacobian is analytic: the relaxation model
+Jacobian is analytic; the one model is the relaxation decay
 offset + amplitude*exp(-rate*t) (``fit_decays``, started in closed form
-by ``_decay_start``) and the Ramsey model
-offset + amplitude*exp(-rate*t)*cos(detuning*t) (``fit_ramsey``).
+by ``_decay_start``).  ``linear_fit`` is ordinary least squares in
+closed form.
 """
 
 from dataclasses import dataclass
@@ -30,19 +30,15 @@ _REL_TOL = 1e-10
 _MAX_ITER = 200
 _DAMPING_0 = 1e-3
 DECAY_NAMES = ("rate", "amplitude", "offset")
-RAMSEY_NAMES = ("rate", "detuning", "amplitude", "offset")
 
 
 @dataclass
 class FitResult:
-    """Fitted parameters with covariance and convergence diagnostics."""
+    """Fitted parameters of a closed-form fit, with their covariance."""
 
     parameters: dict[str, float]
     covariance: np.ndarray
     param_names: tuple[str, ...]
-    residual_norm: float
-    n_iterations: int
-    converged: bool
 
     def stderr(self, name: str) -> float:
         """1-sigma standard error of a named parameter."""
@@ -74,17 +70,6 @@ class Fits:
         """1-sigma standard error of a named parameter, for every row."""
         i = self.param_names.index(name)
         return np.sqrt(np.maximum(self.covariance[:, i, i], 0.0))
-
-    def result(self, i: int) -> FitResult:
-        """Row ``i`` as a single-fit result."""
-        return FitResult(
-            parameters=dict(zip(self.param_names, map(float, self.parameters[i]))),
-            covariance=self.covariance[i],
-            param_names=self.param_names,
-            residual_norm=float(self.residual_norm[i]),
-            n_iterations=int(self.n_iterations[i]),
-            converged=bool(self.converged[i]),
-        )
 
 
 def _stacked(func, matrices, *vectors):
@@ -275,69 +260,21 @@ class _DecaySums:
         return normal, grad
 
 
-def _batch(times, data):
-    """``times`` and ``data`` as matching (n, m) float rows in C order,
-    which keeps every row's sums in one order, whatever the batch."""
-    times = np.ascontiguousarray(np.atleast_2d(times), dtype=float)
-    data = np.ascontiguousarray(np.atleast_2d(data), dtype=float)
-    if times.shape != data.shape:
-        raise ValueError("times and data must have the same shape")
-    return times, data
-
-
 def fit_decays(times, data) -> Fits:
     """Fit offset + amplitude*exp(-rate*t) to every row of ``data`` at once.
 
     ``times`` and ``data`` are (n, m); the parameters come in
     ``DECAY_NAMES`` order.
     """
-    times, data = _batch(times, data)
+    # matching (n, m) float rows in C order keep every row's sums in one
+    # order, whatever the batch
+    times = np.ascontiguousarray(np.atleast_2d(times), dtype=float)
+    data = np.ascontiguousarray(np.atleast_2d(data), dtype=float)
+    if times.shape != data.shape:
+        raise ValueError("times and data must have the same shape")
     with np.errstate(all="ignore"):
         start = _decay_start(times, data)
     return _levenberg_marquardt(_DecaySums(times, data), start, DECAY_NAMES)
-
-
-class _RamseySums:
-    """offset + amplitude*exp(-rate*t)*cos(detuning*t) on the rows of
-    (times, data), with J^T J and J^T r from the analytic Jacobian columns
-    (-amplitude*t*e*c, -amplitude*t*e*s, e*c, 1), e = exp(-rate*t),
-    c = cos(detuning*t) and s = sin(detuning*t)."""
-
-    def __init__(self, times, data):
-        self.times, self.data = times, data
-
-    def residuals(self, q, rows):
-        times = self.times[rows]
-        return (q[:, 3:4] + q[:, 2:3] * np.exp(-q[:, 0:1] * times)
-                * np.cos(q[:, 1:2] * times) - self.data[rows])
-
-    def normal_equations(self, q, rows):
-        times = self.times[rows]
-        envelope = np.exp(-q[:, 0:1] * times)
-        phase = q[:, 1:2] * times
-        cos = np.cos(phase)
-        weighted = -q[:, 2:3] * times * envelope
-        jac = np.stack([weighted * cos, weighted * np.sin(phase), envelope * cos,
-                        np.ones_like(times)], axis=2)
-        jac_t = jac.transpose(0, 2, 1)
-        return jac_t @ jac, (jac_t @ self.residuals(q, rows)[:, :, None])[:, :, 0]
-
-
-def fit_ramsey(times, data, detuning) -> Fits:
-    """Fit offset + amplitude*exp(-rate*t)*cos(detuning*t) to every row of
-    ``data`` at once.
-
-    ``times`` and ``data`` are (n, m) and ``detuning`` is the programmed
-    fringe frequency (rad/s), shared or one per row.  Each row starts at
-    rate 2/span, the programmed detuning, amplitude = first point less the
-    row mean and offset = the row mean; the parameters come in
-    ``RAMSEY_NAMES`` order.
-    """
-    times, data = _batch(times, data)
-    offset = data.mean(axis=1)
-    start = np.stack([2.0 / times[:, -1], np.broadcast_to(detuning, offset.shape),
-                      data[:, 0] - offset, offset], axis=1)
-    return _levenberg_marquardt(_RamseySums(times, data), start, RAMSEY_NAMES)
 
 
 def linear_fit(x, y) -> FitResult:
@@ -365,7 +302,4 @@ def linear_fit(x, y) -> FitResult:
         parameters={"slope": slope, "intercept": intercept},
         covariance=cov,
         param_names=("slope", "intercept"),
-        residual_norm=norm,
-        n_iterations=0,
-        converged=True,
     )

@@ -636,13 +636,6 @@ def write_spectrum(path, spectrum: Spectrum) -> None:
     SPECTRUM.write(path, (spectrum.omegas, spectrum.values))
 
 
-def read_spectrum(path) -> Spectrum:
-    """A spectrum CSV as a Spectrum.  The file carries no bin counts, so
-    every value counts as one raw periodogram point when it is fitted."""
-    omegas, values = SPECTRUM.read(path)
-    return Spectrum(omegas=omegas, values=values)
-
-
 def write_stark_sweep(path, points) -> None:
     STARK_SWEEP.write(path, ([p.temperature for p in points],
                              [p.delta_omega_q for p in points]))

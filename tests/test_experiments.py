@@ -1,8 +1,8 @@
-"""Tests for synthetic decay experiments and measurement campaigns.
+"""Tests for relaxation-trace fits and measurement campaigns.
 
-Trace models are checked against hand-evaluated exponentials, the trace
-fitter against noiseless round trips and Monte Carlo recovery under
-binomial shot noise, and the campaign driver against its bookkeeping
+The batched trace fitter is checked against noiseless round trips, Monte
+Carlo recovery under binomial shot noise, its two failure masks and
+row-by-row independence; the campaign driver against its bookkeeping
 contract (point count, determinism, gap handling) plus the whiteness of
 its estimator noise.
 """
@@ -13,139 +13,58 @@ import warnings
 import numpy as np
 import pytest
 
-from thermoq import experiments, fitting, spectral
+from thermoq import experiments, spectral
 from thermoq.constants import TWO_PI
-from thermoq.errors import DomainError, FitError, NoDecayError
+from thermoq.errors import DomainError, FitError
 from thermoq.tlssim import TimeSeries
 
 GAMMA1 = TWO_PI * 3.9e6       # relaxation rate, rad/s
-GAMMA2_RAMSEY = TWO_PI * 2.1e6
-GAMMA2_ECHO = TWO_PI * 1.9e6
-DETUNING = TWO_PI * 5e6
 N_AVERAGES = 400_000
 
 
-def relaxation_times(rate=GAMMA1, n=25, span=3.0):
-    return np.linspace(0.0, span / rate, n)
+def relaxation_times(n=25, span=3.0):
+    return np.linspace(0.0, span / GAMMA1, n)
 
 
-class TestExperimentTrace:
-    def test_times_must_ascend_from_zero(self):
-        good = np.linspace(0.0, 1e-7, 9)
-        with pytest.raises(DomainError):
-            experiments.ExperimentTrace("relaxation", good + 1e-9,
-                                        np.full(9, 0.5), None, None)
-        with pytest.raises(DomainError):
-            experiments.ExperimentTrace("relaxation", good[::-1],
-                                        np.full(9, 0.5), None, None)
-
-    def test_probabilities_bounded(self):
-        times = np.linspace(0.0, 1e-7, 9)
-        with pytest.raises(DomainError):
-            experiments.ExperimentTrace("relaxation", times,
-                                        np.full(9, 1.2), None, None)
-
-    def test_kind_vocabulary(self):
-        times = np.linspace(0.0, 1e-7, 9)
-        with pytest.raises(DomainError):
-            experiments.ExperimentTrace("rabi", times, np.full(9, 0.5),
-                                        None, None)
-
-    def test_detuning_only_on_ramsey(self):
-        times = np.linspace(0.0, 1e-7, 9)
-        with pytest.raises(DomainError):
-            experiments.ExperimentTrace("relaxation", times, np.full(9, 0.5),
-                                        DETUNING, None)
-        with pytest.raises(DomainError):
-            experiments.ExperimentTrace("ramsey", times, np.full(9, 0.5),
-                                        None, None)
+def noisy_relaxation(times, n_averages, seed, rate=GAMMA1):
+    """exp(-rate*t) with binomial shot noise of ``n_averages`` trials."""
+    return experiments._shot_noise(np.exp(-rate * times), n_averages, seed)
 
 
-class TestSimulateTrace:
-    def test_relaxation_value_at_one_decay_constant(self):
-        t_star = 1.0 / GAMMA1
-        times = np.array([0.0, t_star])
-        trace = experiments.simulate_trace("relaxation", GAMMA1, None, times)
-        assert trace.p_e[0] == pytest.approx(1.0)
-        assert trace.p_e[1] == pytest.approx(0.36787944117144233, rel=1e-12)
+def test_shot_noise_scale_and_bounds():
+    times = relaxation_times(n=200)
+    n_avg = 1000
+    clean = np.exp(-GAMMA1 * times)
+    noisy = experiments._shot_noise(clean, n_avg, 3)
+    assert np.all((noisy >= 0) & (noisy <= 1))
+    dev = np.abs(noisy - clean)
+    assert dev.max() <= 5 * math.sqrt(0.25 / n_avg)
+    assert dev.max() > 0
 
-    def test_ramsey_starts_at_one_and_decays_to_half(self):
-        times = np.linspace(0.0, 6.0 / GAMMA2_RAMSEY, 200)
-        trace = experiments.simulate_trace("ramsey", GAMMA2_RAMSEY, DETUNING,
-                                           times)
-        assert trace.p_e[0] == pytest.approx(1.0)
-        assert trace.p_e[-1] == pytest.approx(0.5, abs=0.01)
-        assert trace.detuning == DETUNING
 
-    def test_ramsey_envelope_time(self):
-        # envelope exp(-gamma2*t) crosses 1/e at t = 1/gamma2 = 75.79 ns
-        # for gamma2 = 2pi x 2.1 MHz
-        t_env = 1.0 / GAMMA2_RAMSEY
-        assert t_env == pytest.approx(75.788e-9, rel=1e-4)
-        times = np.array([0.0, t_env])
-        trace = experiments.simulate_trace("ramsey", GAMMA2_RAMSEY, DETUNING,
-                                           times)
-        envelope = (2 * trace.p_e[1] - 1) / math.cos(DETUNING * t_env)
-        assert envelope == pytest.approx(math.exp(-1), rel=1e-12)
+def test_shot_noise_seed_determinism():
+    p = np.exp(-GAMMA1 * relaxation_times())
+    assert np.array_equal(experiments._shot_noise(p, N_AVERAGES, 8),
+                          experiments._shot_noise(p, N_AVERAGES, 8))
 
-    def test_echo_model(self):
-        times = relaxation_times(GAMMA2_ECHO)
-        trace = experiments.simulate_trace("echo", GAMMA2_ECHO, None, times)
-        expected = 0.5 + 0.5 * np.exp(-GAMMA2_ECHO * times)
-        assert np.allclose(trace.p_e, expected, rtol=1e-12)
-        assert trace.detuning is None
 
-    def test_shot_noise_scale_and_bounds(self):
-        times = relaxation_times(n=200)
-        n_avg = 1000
-        noisy = experiments.simulate_trace("relaxation", GAMMA1, None, times,
-                                           n_averages=n_avg, seed=3)
-        clean = experiments.simulate_trace("relaxation", GAMMA1, None, times)
-        assert np.all((noisy.p_e >= 0) & (noisy.p_e <= 1))
-        dev = np.abs(noisy.p_e - clean.p_e)
-        assert dev.max() <= 5 * math.sqrt(0.25 / n_avg)
-        assert dev.max() > 0
-
-    def test_seed_determinism(self):
+class TestFitDecayTraces:
+    def test_noiseless_round_trip(self):
         times = relaxation_times()
-        a = experiments.simulate_trace("relaxation", GAMMA1, None, times,
-                                       n_averages=N_AVERAGES, seed=8)
-        b = experiments.simulate_trace("relaxation", GAMMA1, None, times,
-                                       n_averages=N_AVERAGES, seed=8)
-        assert np.array_equal(a.p_e, b.p_e)
-
-    def test_rate_guard(self):
-        with pytest.raises(DomainError):
-            experiments.simulate_trace("relaxation", 0.0, None,
-                                       relaxation_times())
-
-
-class TestFitTrace:
-    def test_noiseless_round_trip_all_kinds(self):
-        cases = [
-            ("relaxation", GAMMA1, None, relaxation_times(GAMMA1)),
-            ("ramsey", GAMMA2_RAMSEY, DETUNING,
-             np.linspace(0.0, 5.0 / GAMMA2_RAMSEY, 101)),
-            ("echo", GAMMA2_ECHO, None, relaxation_times(GAMMA2_ECHO)),
-        ]
-        for kind, rate, detuning, times in cases:
-            trace = experiments.simulate_trace(kind, rate, detuning, times)
-            fit = experiments.fit_trace(trace)
-            assert fit.parameters["rate"] == pytest.approx(rate, rel=1e-6)
-            if kind == "ramsey":
-                assert fit.parameters["detuning"] == pytest.approx(
-                    detuning, rel=1e-6)
+        fits, no_decay, short_span = experiments.fit_decay_traces(
+            times, np.exp(-GAMMA1 * times))
+        assert not (no_decay[0] or short_span[0])
+        assert fits.parameters[0, 0] == pytest.approx(GAMMA1, rel=1e-6)
 
     def test_shot_noise_recovery_within_five_percent(self):
         times = relaxation_times()
         worst = 0.0
         for child in np.random.SeedSequence(11).spawn(50):
             seed = int(child.generate_state(1)[0])
-            trace = experiments.simulate_trace("relaxation", GAMMA1, None,
-                                               times, n_averages=N_AVERAGES,
-                                               seed=seed)
-            fit = experiments.fit_trace(trace)
-            worst = max(worst, abs(fit.parameters["rate"] / GAMMA1 - 1.0))
+            fits, no_decay, short_span = experiments.fit_decay_traces(
+                times, noisy_relaxation(times, N_AVERAGES, seed))
+            assert not (no_decay[0] or short_span[0])
+            worst = max(worst, abs(fits.parameters[0, 0] / GAMMA1 - 1.0))
         assert worst < 0.05
 
     def test_estimator_bias_below_one_percent(self):
@@ -153,70 +72,32 @@ class TestFitTrace:
         rates = []
         for child in np.random.SeedSequence(12).spawn(200):
             seed = int(child.generate_state(1)[0])
-            trace = experiments.simulate_trace("relaxation", GAMMA1, None,
-                                               times, n_averages=N_AVERAGES,
-                                               seed=seed)
-            rates.append(experiments.fit_trace(trace).parameters["rate"])
+            fits, no_decay, short_span = experiments.fit_decay_traces(
+                times, noisy_relaxation(times, N_AVERAGES, seed))
+            assert not (no_decay[0] or short_span[0])
+            rates.append(fits.parameters[0, 0])
         assert abs(np.mean(rates) / GAMMA1 - 1.0) < 0.01
 
-    def test_echo_fits_below_ramsey_on_device_values(self):
-        ramsey = experiments.simulate_trace(
-            "ramsey", GAMMA2_RAMSEY, DETUNING,
-            np.linspace(0.0, 5.0 / GAMMA2_RAMSEY, 101),
-            n_averages=N_AVERAGES, seed=14)
-        echo = experiments.simulate_trace(
-            "echo", GAMMA2_ECHO, None, relaxation_times(GAMMA2_ECHO),
-            n_averages=N_AVERAGES, seed=14)
-        rate_ramsey = experiments.fit_trace(ramsey).parameters["rate"]
-        rate_echo = experiments.fit_trace(echo).parameters["rate"]
-        assert rate_echo < rate_ramsey
-        assert rate_ramsey == pytest.approx(GAMMA2_RAMSEY, rel=0.02)
-        assert rate_echo == pytest.approx(GAMMA2_ECHO, rel=0.02)
-
     def test_reports_rate_uncertainty(self):
-        trace = experiments.simulate_trace("relaxation", GAMMA1, None,
-                                           relaxation_times(),
-                                           n_averages=N_AVERAGES, seed=5)
-        fit = experiments.fit_trace(trace)
-        err = fit.stderr("rate")
+        times = relaxation_times()
+        fits, _, _ = experiments.fit_decay_traces(
+            times, noisy_relaxation(times, N_AVERAGES, 5))
+        err = fits.stderr("rate")[0]
         assert err > 0
-        assert abs(fit.parameters["rate"] - GAMMA1) < 4 * err
+        assert abs(fits.parameters[0, 0] - GAMMA1) < 4 * err
 
-    def test_requires_eight_points(self):
-        times = np.linspace(0.0, 3.0 / GAMMA1, 7)
-        trace = experiments.simulate_trace("relaxation", GAMMA1, None, times)
-        with pytest.raises(DomainError):
-            experiments.fit_trace(trace)
-
-    def test_requires_decay_span(self):
+    def test_short_span(self):
         times = np.linspace(0.0, 0.5 / GAMMA1, 25)
-        trace = experiments.simulate_trace("relaxation", GAMMA1, None, times)
-        with pytest.raises(DomainError):
-            experiments.fit_trace(trace)
+        _, no_decay, short_span = experiments.fit_decay_traces(
+            times, np.exp(-GAMMA1 * times))
+        assert short_span[0] and not no_decay[0]
 
-    def test_flat_trace_raises_no_decay(self):
+    def test_flat_trace_has_no_decay(self):
         times = np.linspace(0.0, 1e-6, 25)
-        trace = experiments.ExperimentTrace("relaxation", times,
-                                            np.full(25, 0.8), None, None)
-        with pytest.raises(NoDecayError):
-            experiments.fit_trace(trace)
+        _, no_decay, short_span = experiments.fit_decay_traces(
+            times, np.full(25, 0.8))
+        assert no_decay[0] and not short_span[0]
 
-    def test_flat_ramsey_trace_raises_no_decay(self):
-        times = np.linspace(0.0, 5.0 / GAMMA2_RAMSEY, 101)
-        trace = experiments.ExperimentTrace("ramsey", times, np.full(101, 0.5),
-                                            DETUNING, None)
-        with pytest.raises(NoDecayError):
-            experiments.fit_trace(trace)
-
-    def test_ramsey_goes_through_the_analytic_fit(self):
-        times = np.linspace(0.0, 5.0 / GAMMA2_RAMSEY, 101)
-        trace = experiments.simulate_trace("ramsey", GAMMA2_RAMSEY, DETUNING, times,
-                                           n_averages=N_AVERAGES, seed=15)
-        fits = fitting.fit_ramsey(times, trace.p_e, DETUNING)
-        assert experiments.fit_trace(trace).parameters == fits.result(0).parameters
-
-
-class TestFitDecayTraces:
     def mixed_batch(self):
         """Clean, gap (flat or no significant decay) and wild rows together."""
         times = relaxation_times()
@@ -224,9 +105,8 @@ class TestFitDecayTraces:
         for i, child in enumerate(np.random.SeedSequence(21).spawn(24)):
             seed = int(child.generate_state(1)[0])
             n_averages = (N_AVERAGES, 40, 4, 1)[i % 4]
-            rows.append(experiments.simulate_trace(
-                "relaxation", GAMMA1 * (1.0 + 0.1 * i / 24), None, times,
-                n_averages=n_averages, seed=seed).p_e)
+            rows.append(noisy_relaxation(times, n_averages, seed,
+                                         GAMMA1 * (1.0 + 0.1 * i / 24)))
         rows.append(np.full(times.size, 0.8))
         rows.append(np.linspace(0.2, 0.9, times.size))  # rising: no decay
         grid = np.tile(times, (len(rows) + 1, 1))
@@ -239,31 +119,17 @@ class TestFitDecayTraces:
         fits, no_decay, short_span = experiments.fit_decay_traces(times, p_e)
         outcomes = set()
         for i in range(len(p_e)):
-            trace = experiments.ExperimentTrace("relaxation", times[i], p_e[i])
-            try:
-                alone = experiments.fit_trace(trace)
-            except NoDecayError:
-                assert no_decay[i] and not short_span[i]
-                outcomes.add("no decay")
+            alone, [alone_no_decay], [alone_short] = experiments.fit_decay_traces(
+                times[i], p_e[i])
+            assert (no_decay[i], short_span[i]) == (alone_no_decay, alone_short)
+            outcomes.add("no decay" if no_decay[i] else
+                         "short span" if short_span[i] else "fit")
+            if no_decay[i] or short_span[i]:
                 continue
-            except DomainError:
-                assert short_span[i] and not no_decay[i]
-                outcomes.add("short span")
-                continue
-            assert not (no_decay[i] or short_span[i])
-            outcomes.add("fit")
-            row = fits.result(i)
-            assert row.parameters == alone.parameters
-            assert np.array_equal(row.covariance, alone.covariance)
-            assert row.n_iterations == alone.n_iterations
+            assert alone.parameters[0].tobytes() == fits.parameters[i].tobytes()
+            assert alone.covariance[0].tobytes() == fits.covariance[i].tobytes()
+            assert alone.n_iterations[0] == fits.n_iterations[i]
         assert outcomes == {"fit", "no decay", "short span"}
-
-    def test_echo_goes_through_the_batched_fit(self):
-        times = relaxation_times(GAMMA2_ECHO)
-        trace = experiments.simulate_trace("echo", GAMMA2_ECHO, None, times,
-                                           n_averages=N_AVERAGES, seed=3)
-        fits, _, _ = experiments.fit_decay_traces(times, trace.p_e)
-        assert experiments.fit_trace(trace).parameters == fits.result(0).parameters
 
 
 def constant_source(rate=GAMMA1):
@@ -304,11 +170,6 @@ class TestSimulateCampaign:
         assert values.std() < TWO_PI * 215e3
         fit = spectral.fit_knee_spectrum(spectral.psd_estimate(result.series))
         assert fit.degenerate
-
-    def test_callable_source(self):
-        result = experiments.simulate_campaign(
-            self.make_config(), lambda t: GAMMA1 * (1.0 + 0.02 * math.sin(t)))
-        assert result.series.values.size == 1200
 
     def test_gaps_carry_previous_value(self):
         # At tiny averaging counts some traces carry no significant decay;
@@ -373,24 +234,25 @@ class TestSimulateCampaign:
 
     def test_source_lookup_is_zero_order_hold(self):
         # a source sampled on its own, offset grid gives the same campaign
-        # as the equivalent scalar callable
+        # as that source held by hand at every campaign tick
         rng = np.random.Generator(np.random.PCG64(7))
         source = TimeSeries(-25.0, 7.3, GAMMA1 * (1.0 + 0.05 * rng.random(500)))
-
-        def held(t):
-            index = int((t - source.t0) // source.dt)
-            return source.values[min(max(index, 0), source.values.size - 1)]
-
         config = self.make_config(duration=3000.0, n_averages=40)
+        held = TimeSeries(0.0, 10.0, np.array([
+            source.values[min(max(int((t - source.t0) // source.dt), 0),
+                              source.values.size - 1)]
+            for t in (10.0 * k for k in range(300))]))
         a = experiments.simulate_campaign(config, source)
         b = experiments.simulate_campaign(config, held)
         assert np.array_equal(a.series.values, b.series.values)
         assert a.gap_indices == b.gap_indices
 
     def test_non_positive_source_rate(self):
+        rates = np.full(1200, GAMMA1)
+        rates[500:] = 0.0
         with pytest.raises(DomainError):
-            experiments.simulate_campaign(
-                self.make_config(), lambda t: GAMMA1 if t < 5000 else 0.0)
+            experiments.simulate_campaign(self.make_config(),
+                                          TimeSeries(0.0, 10.0, rates))
 
     def test_all_gaps_is_an_error(self, monkeypatch):
         real = experiments.fit_decay_traces

@@ -235,7 +235,7 @@ class TestBatchRows:
 
     def test_too_few_residuals_raise_for_the_batch(self):
         with pytest.raises(RankDeficiencyError):
-            fitting.fit_ramsey([[0.0, 1.0, 2.0]] * 3, [[1.0, 0.5, 0.4]] * 3, 1.0)
+            fitting.fit_decays([[0.0, 1.0]] * 3, [[1.0, 0.5]] * 3)
 
 
 class TestLinearFit:
@@ -346,75 +346,3 @@ class TestStoppingRule:
         assert (trials, accepted) == (18, 7)
         assert fits.converged[0]
         assert fits.parameters[0] == pytest.approx([2.0, 0.9, 0.05], rel=1e-12)
-
-
-def noisy_ramsey(n, n_averages, seed):
-    """Shot-noise-limited Ramsey fringes over 5 decay constants each, with
-    a few fringes per decay constant."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rates = 2 * math.pi * 0.25e6 * (1.0 + 0.2 * rng.random(n))
-    detunings = 2 * math.pi * 1.0e6 * (1.0 + 0.2 * rng.random(n))
-    times = np.linspace(0.0, 5.0 / rates, 101, axis=1)
-    p = 0.5 + 0.5 * np.exp(-rates[:, None] * times) * np.cos(detunings[:, None] * times)
-    return times, rng.binomial(n_averages, p) / n_averages, detunings
-
-
-class TestFitRamsey:
-    # the same bounds as TestFitDecays.test_rates_match_scipy
-    @pytest.mark.parametrize("n_averages,seed", [(1_000, 51), (100_000, 52)])
-    def test_rates_match_scipy(self, n_averages, seed):
-        optimize = pytest.importorskip("scipy.optimize")
-        times, data, detunings = noisy_ramsey(24, n_averages, seed)
-        fits = fitting.fit_ramsey(times, data, detunings)
-        assert fits.formed.all() and fits.converged.all()
-        for t, y, detuning, p, err, norm in zip(times, data, detunings, fits.parameters,
-                                                fits.stderr("rate"), fits.residual_norm):
-            def residual(q):
-                return q[3] + q[2] * np.exp(-q[0] * t) * np.cos(q[1] * t) - y
-
-            def jacobian(q):
-                e, c, s = np.exp(-q[0] * t), np.cos(q[1] * t), np.sin(q[1] * t)
-                return np.stack([-q[2] * t * e * c, -q[2] * t * e * s, e * c,
-                                 np.ones_like(t)], axis=1)
-
-            start = [2.0 / t[-1], detuning, y[0] - y.mean(), y.mean()]
-            ref = optimize.least_squares(residual, start, jac=jacobian, method="lm",
-                                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            assert ref.success
-            assert p[0] == pytest.approx(ref.x[0], rel=1e-8)
-            s2 = 2 * ref.cost / (t.size - 4)
-            ref_err = math.sqrt(s2 * np.linalg.inv(ref.jac.T @ ref.jac)[0, 0])
-            assert err == pytest.approx(ref_err, rel=1e-5)
-            assert norm <= np.linalg.norm(ref.fun) * (1 + 1e-12)
-
-    def test_noiseless_fringe_is_recovered(self):
-        t = np.linspace(0.0, 5e-6, 101)
-        truth = [1.2e6, 6.5e6, 0.45, 0.5]
-        y = truth[3] + truth[2] * np.exp(-truth[0] * t) * np.cos(truth[1] * t)
-        fits = fitting.fit_ramsey(t, y, 6.3e6)
-        assert fits.converged[0] and fits.formed[0]
-        assert fits.parameters[0] == pytest.approx(truth, rel=1e-10)
-        assert fits.residual_norm[0] < 1e-12
-
-    def test_flat_row_stops_at_its_start(self):
-        # amplitude starts at the first point less the mean, 0 on a flat
-        # row, where neither rate nor detuning has an effect
-        t = np.linspace(0.0, 1e-5, 30)
-        fits = fitting.fit_ramsey(t, np.full(30, 0.5), 1e6)
-        assert not fits.formed[0]
-        assert isinstance(fits.errors[0], RankDeficiencyError)
-        assert fits.parameters[0].tolist() == [2.0 / t[-1], 1e6, 0.0, 0.5]
-
-    def test_non_finite_initial_residual(self):
-        data = np.full(30, 0.5)
-        data[3] = math.nan
-        fits = fitting.fit_ramsey(np.linspace(0.0, 1e-5, 30), data, 1e6)
-        assert isinstance(fits.errors[0], ModelDomainError)
-
-    def test_rows_equal_single_fits(self):
-        times, data, detunings = noisy_ramsey(6, 1_000, 53)
-        data[4] = 0.5  # flat: rank-deficient
-        fits = fitting.fit_ramsey(times, data, detunings)
-        assert fits.formed.tolist() == [True, True, True, True, False, True]
-        assert_rows_equal_single_fits(fits, lambda i: fitting.fit_ramsey(
-            times[i], data[i], detunings[i]))
