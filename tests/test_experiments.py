@@ -3,8 +3,8 @@
 The batched trace fitter is checked against noiseless round trips, Monte
 Carlo recovery under binomial shot noise, its two failure masks and
 row-by-row independence; the campaign driver against its bookkeeping
-contract (point count, determinism, gap handling) plus the whiteness of
-its estimator noise.
+contract (point count, trace grid, source lookup, determinism, gap
+handling) plus the whiteness of its estimator noise.
 """
 
 import math
@@ -97,6 +97,55 @@ class TestFitDecayTraces:
         _, no_decay, short_span = experiments.fit_decay_traces(
             times, np.full(25, 0.8))
         assert no_decay[0] and not short_span[0]
+
+    def test_straight_rise_is_a_short_span(self):
+        # a straight line is the slow limit of a recovery, a negative
+        # amplitude at a small positive rate: too few decay constants
+        times = relaxation_times()
+        fits, no_decay, short_span = experiments.fit_decay_traces(
+            times, np.linspace(0.2, 0.9, times.size))
+        assert fits.parameters[0, 1] < 0
+        assert short_span[0] and not no_decay[0]
+
+    def test_growing_trace_has_no_decay(self):
+        times = relaxation_times()
+        _, no_decay, short_span = experiments.fit_decay_traces(
+            times, 0.2 + 0.7 * np.exp(GAMMA1 * times / 3.0 - 1.0))
+        assert no_decay[0] and not short_span[0]
+
+    def test_unformed_row_has_no_decay(self):
+        # a row the loop cannot form is masked, not raised
+        times = relaxation_times()
+        p_e = np.exp(-GAMMA1 * times)
+        p_e[4] = math.nan
+        fits, no_decay, short_span = experiments.fit_decay_traces(times, p_e)
+        assert not fits.formed[0]
+        assert no_decay[0] and not short_span[0]
+
+    @pytest.mark.parametrize("span,short", [(1.4, True), (1.6, False)])
+    def test_short_span_threshold(self, span, short):
+        # the span rule compares the fitted decay constants with 1.5
+        times = relaxation_times(span=span)
+        fits, no_decay, short_span = experiments.fit_decay_traces(
+            times, np.exp(-GAMMA1 * times))
+        assert fits.parameters[0, 0] == pytest.approx(GAMMA1, rel=1e-6)
+        assert not no_decay[0]
+        assert short_span[0] == short
+
+    def test_offset_and_amplitude_are_fitted(self):
+        # readout infidelity: the trace falls from 0.95 towards 0.1
+        times = relaxation_times()
+        fits, no_decay, short_span = experiments.fit_decay_traces(
+            times, 0.1 + 0.85 * np.exp(-GAMMA1 * times))
+        assert not (no_decay[0] or short_span[0])
+        assert fits.parameters[0] == pytest.approx([GAMMA1, 0.85, 0.1], rel=1e-6)
+
+    def test_one_trace_gives_one_row(self):
+        times = relaxation_times()
+        fits, no_decay, short_span = experiments.fit_decay_traces(
+            times, np.exp(-GAMMA1 * times))
+        assert fits.parameters.shape == (1, 3)
+        assert no_decay.shape == short_span.shape == (1,)
 
     def mixed_batch(self):
         """Clean, gap (flat or no significant decay) and wild rows together."""
@@ -247,6 +296,85 @@ class TestSimulateCampaign:
         assert np.array_equal(a.series.values, b.series.values)
         assert a.gap_indices == b.gap_indices
 
+    def test_trace_grid_spans_three_decay_constants(self, monkeypatch):
+        # every tick measures 25 points from 0 to 3 decay constants of its
+        # true rate, as fractions of n_averages shots
+        real = experiments.fit_decay_traces
+        handed = []
+
+        def capture(times, p_e):
+            handed.append((times.copy(), p_e.copy()))
+            return real(times, p_e)
+
+        monkeypatch.setattr(experiments, "fit_decay_traces", capture)
+        rates = GAMMA1 * np.linspace(0.8, 1.2, 64)
+        experiments.simulate_campaign(
+            self.make_config(duration=640.0, n_averages=40),
+            TimeSeries(0.0, 10.0, rates))
+        [(times, p_e)] = handed
+        assert times.shape == p_e.shape == (64, 25)
+        assert np.all(times[:, 0] == 0.0)
+        assert times[:, -1] * rates == pytest.approx(np.full(64, 3.0), rel=1e-12)
+        assert np.all((p_e >= 0) & (p_e <= 1))
+        assert np.array_equal(p_e * 40, np.round(p_e * 40))
+
+    def test_series_provenance(self):
+        result = experiments.simulate_campaign(
+            self.make_config(duration=640.0, seed=17), constant_source())
+        assert result.series.t0 == 0.0
+        assert result.series.seed_used == 17
+        assert isinstance(result.gap_indices, tuple)
+
+    def test_leading_gaps_hold_the_first_good_estimate(self, monkeypatch):
+        real = experiments.fit_decay_traces
+
+        def first_two_gap(times, p_e):
+            fits, no_decay, short_span = real(times, p_e)
+            no_decay[:2] = True
+            return fits, no_decay, short_span
+
+        monkeypatch.setattr(experiments, "fit_decay_traces", first_two_gap)
+        result = experiments.simulate_campaign(
+            self.make_config(duration=640.0), constant_source())
+        values = result.series.values
+        assert result.gap_indices == (0, 1)
+        assert values[0] == values[1] == values[2]
+        assert values[2] != values[3]
+
+    @pytest.mark.parametrize("t0,n", [(500.0, 300), (-25.0, 40)],
+                             ids=["starts_late", "ends_early"])
+    def test_source_edges_hold_their_end_values(self, t0, n):
+        # ticks before a source's first sample take that sample, ticks
+        # after its last take the last
+        rng = np.random.Generator(np.random.PCG64(3))
+        source = TimeSeries(t0, 10.0, GAMMA1 * (1.0 + 0.05 * rng.random(n)))
+        config = self.make_config(duration=1500.0, n_averages=40)
+        ticks = 10.0 * np.arange(150)
+        raw = np.floor((ticks - t0) / 10.0).astype(int)
+        assert np.any((raw < 0) | (raw >= n))
+        held = TimeSeries(0.0, 10.0, source.values[np.clip(raw, 0, n - 1)])
+        a = experiments.simulate_campaign(config, source)
+        b = experiments.simulate_campaign(config, held)
+        assert np.array_equal(a.series.values, b.series.values)
+
+    def test_rate_step_is_tracked(self):
+        # a step in the true rate shows in the fitted series at the tick
+        # that crosses it, to within the estimator noise
+        rates = np.full(1200, GAMMA1)
+        rates[600:] = 1.5 * GAMMA1
+        result = experiments.simulate_campaign(
+            self.make_config(), TimeSeries(0.0, 10.0, rates))
+        values = result.series.values
+        assert abs(values[:600].mean() / GAMMA1 - 1.0) < 0.01
+        assert abs(values[600:].mean() / (1.5 * GAMMA1) - 1.0) < 0.01
+
+    def test_nan_source_rate(self):
+        rates = np.full(1200, GAMMA1)
+        rates[7] = math.nan
+        with pytest.raises(DomainError):
+            experiments.simulate_campaign(self.make_config(),
+                                          TimeSeries(0.0, 10.0, rates))
+
     def test_non_positive_source_rate(self):
         rates = np.full(1200, GAMMA1)
         rates[500:] = 0.0
@@ -275,9 +403,16 @@ class TestSimulateCampaign:
             self.make_config(duration=100.0)  # fewer than 64 points
         with pytest.raises(DomainError):
             self.make_config(n_averages=0)
+        with pytest.raises(DomainError):
+            self.make_config(temperature=-0.01)
+
+    def test_config_boundaries_are_accepted(self):
+        config = self.make_config(duration=640.0, n_averages=1, temperature=0.0)
+        assert config.duration * config.point_rate == 64
 
     @pytest.mark.parametrize("field,message", [
-        ("duration", "64 points"), ("temperature", "temperature"),
+        ("point_rate", "point_rate"), ("duration", "64 points"),
+        ("temperature", "temperature"),
         ("n_averages", "n_averages")])
     def test_nan_config_field_is_refused(self, field, message):
         with pytest.raises(DomainError, match=message):

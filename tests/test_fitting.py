@@ -79,6 +79,33 @@ def test_covariance_scales_quadratically_with_parameter_rescaling():
                                                      rel=1e-6)
 
 
+def test_time_shift_moves_only_the_amplitude():
+    # a shifted clock is the same decay with amplitude*exp(-rate*shift)
+    t = np.linspace(0.0, 3.0, 30)
+    y = 0.1 + 0.8 * np.exp(-1.3 * t)
+    fits = fitting.fit_decays(t + 0.5, y)
+    assert fits.parameters[0] == pytest.approx(
+        [1.3, 0.8 * math.exp(1.3 * 0.5), 0.1], rel=1e-9)
+
+
+def test_rate_error_bar_does_not_depend_on_the_data_scale():
+    # scaling the data scales amplitude, offset and residuals alike, and
+    # leaves the rate and its standard error where they were
+    rng = np.random.default_rng(4)
+    t = np.linspace(0.0, 3.0, 40)
+    y = 0.2 + 0.7 * np.exp(-1.5 * t) + 0.01 * rng.standard_normal(t.size)
+    fits = fitting.fit_decays(t, y)
+    scaled = fitting.fit_decays(t, 8.0 * y)
+    assert scaled.parameters[0] == pytest.approx(
+        fits.parameters[0] * [1.0, 8.0, 8.0], rel=1e-8)
+    assert scaled.stderr("rate")[0] == pytest.approx(fits.stderr("rate")[0], rel=1e-6)
+
+
+def test_shape_mismatch_is_refused():
+    with pytest.raises(ValueError):
+        fitting.fit_decays(np.linspace(0.0, 1.0, 10), np.ones((2, 10)))
+
+
 RATE = 2 * math.pi * 3.9e6
 
 
@@ -180,6 +207,13 @@ class TestFitDecays:
         with pytest.raises(RankDeficiencyError):
             fitting.fit_decays([[0.0, 1.0]], [[1.0, 0.5]])
 
+    def test_stderr_is_the_covariance_diagonal(self):
+        fits = fitting.fit_decays(*noisy_decays(5, 1_000, 10))
+        assert fits.formed.all()
+        for i, name in enumerate(fitting.DECAY_NAMES):
+            assert np.array_equal(fits.stderr(name),
+                                  np.sqrt(fits.covariance[:, i, i]))
+
     def test_singular_rows_of_a_stacked_solve(self):
         matrices = np.array([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
         out, singular = fitting._stacked(np.linalg.solve, matrices,
@@ -254,6 +288,28 @@ class TestLinearFit:
     def test_degenerate_abscissae(self):
         with pytest.raises(DegenerateDataError):
             fitting.linear_fit(np.ones(5), np.arange(5.0))
+
+    def test_too_few_points(self):
+        with pytest.raises(DegenerateDataError):
+            fitting.linear_fit([1.0], [2.0])
+
+    def test_two_points_are_exact(self):
+        res = fitting.linear_fit([1.0, 3.0], [2.0, 6.0])
+        assert res.parameters == {"slope": 2.0, "intercept": 0.0}
+        assert res.stderr("slope") == res.stderr("intercept") == 0.0
+
+    def test_covariance_against_closed_form(self):
+        rng = np.random.default_rng(6)
+        x = np.linspace(1.0, 2.0, 20)
+        y = 0.5 - 3.0 * x + 0.1 * rng.standard_normal(x.size)
+        res = fitting.linear_fit(x, y)
+        xbar, sxx = x.mean(), np.sum((x - x.mean()) ** 2)
+        yhat = res.parameters["intercept"] + res.parameters["slope"] * x
+        s2 = np.sum((y - yhat) ** 2) / (x.size - 2)
+        assert res.param_names == ("slope", "intercept")
+        assert res.covariance[0, 1] == res.covariance[1, 0]
+        # abscissae right of 0: slope and intercept anticorrelate
+        assert res.covariance[0, 1] == pytest.approx(-s2 * xbar / sxx, rel=1e-10)
 
     def test_standard_errors_against_closed_form(self):
         rng = np.random.default_rng(3)
