@@ -4,9 +4,11 @@ Every subcommand is a pure function of (config, input files, seed):
 rerunning with the same inputs produces byte-identical output files.
 Exit codes: 0 success, 2 validation problem (config, CSV, domain),
 3 fit failure.  Seed precedence is ``--seed`` over ``THERMOQ_SEED``
-over the config seed.  Each run writes ``report.json`` listing every
-emitted file with its SHA-256 content hash; set ``THERMOQ_TIMESTAMP``
-to an ISO 8601 date and time to pin the report timestamp.  A handler
+over the config seed; ``main`` resolves it once into ``args.seed``, and
+the seeded handlers pass each random stage its own spawned seed.  Each
+run writes ``report.json`` listing every emitted file with its SHA-256
+content hash; set ``THERMOQ_TIMESTAMP`` to an ISO 8601 date and time to
+pin the report timestamp.  A handler
 computes every output before ``main`` writes any, so a run that exits
 2 or 3 writes no output file and no ``report.json``, though the output
 directory may already exist.  ``main``
@@ -20,7 +22,6 @@ carry the units.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -114,7 +115,7 @@ _seed = _integer_at_least(0)
 
 
 def _effective_seed(args, fallback: int) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("THERMOQ_SEED")
     if env is not None:
@@ -254,16 +255,14 @@ def _tls_series(run: RunConfig, mode: str, seed: int):
         return simulate_phenomenological(
             p.mean, p.beta, p.knee, p.white_sigma, duration, dt, seed)
     ensemble_seed, dynamics_seed = _spawn_seeds(seed, 2)
-    ensemble = sample_ensemble(
-        dataclasses.replace(run.tls, seed=ensemble_seed))
+    ensemble = sample_ensemble(run.tls, ensemble_seed)
     return simulate_microscopic(
         ensemble, run.circuit.omega_q0, run.campaign.temperature,
         duration, dt, dynamics_seed, base_gamma1=run.tls.base_gamma1)
 
 
 def cmd_tls_sim(args, run):
-    seed = _effective_seed(args, run.seed)
-    series = _tls_series(run, args.mode, seed)
+    series = _tls_series(run, args.mode, args.seed)
     return {"gamma1_series.csv": (io.write_time_series, series)}
 
 
@@ -273,11 +272,7 @@ def cmd_psd_fit(args, run):
 
 
 def cmd_floor_fit(args, run):
-    points = io.read_floor_points(args.input)
-    for row, (_, level) in enumerate(points, start=2):
-        if not level > 0:
-            raise DomainError(f"row {row}: white level {level!r} must be > 0")
-    fit = fit_white_floor_vs_temp(points)
+    fit = fit_white_floor_vs_temp(io.read_floor_points(args.input))
     return {"floor_fit.json": (_write_json, {
         "mu0_w_per_hz": fit.mu0, "mu0_err_w_per_hz": fit.mu0_err,
         "a_w_per_hz_per_k": fit.a, "a_err_w_per_hz_per_k": fit.a_err,
@@ -287,11 +282,9 @@ def cmd_floor_fit(args, run):
 
 
 def cmd_campaign(args, run):
-    seed = _effective_seed(args, run.seed)
-    source_seed, measure_seed = _spawn_seeds(seed, 2)
+    source_seed, measure_seed = _spawn_seeds(args.seed, 2)
     source = _tls_series(run, args.mode, source_seed)
-    campaign_config = dataclasses.replace(run.campaign, seed=measure_seed)
-    result = simulate_campaign(campaign_config, source)
+    result = simulate_campaign(run.campaign, source, measure_seed)
     values = result.series.values
     return {"campaign_series.csv": (io.write_time_series, result.series),
             **_knee_outputs(result.series, "campaign_psd.csv", "campaign_fit.json"),
@@ -425,6 +418,8 @@ def main(argv=None) -> int:
     try:
         timestamp = _report_timestamp()
         run = load_config(args.config) if spec.config else None
+        if spec.seeded:
+            args.seed = _effective_seed(args, run.seed)
         out = Path(args.output_dir if args.output_dir is not None
                    else run.output_dir if run is not None else ".")
         out.mkdir(parents=True, exist_ok=True)

@@ -207,7 +207,7 @@ def _parse_ports(nodes: list) -> tuple:
     return tuple(by_label[label] for label in PORT_LABELS)
 
 
-def _parse_tls(node: _Node, seed: int) -> EnsembleConfig:
+def _parse_tls(node: _Node) -> EnsembleConfig:
     energy = hbar * TWO_PI
     delta_lo, delta_hi = node.pair("delta_range_hz")
     lw_lo, lw_hi = node.pair("linewidth_range_hz")
@@ -219,7 +219,6 @@ def _parse_tls(node: _Node, seed: int) -> EnsembleConfig:
         "rate_decades": node.pair("rate_decades"),
         "coupling_scale": TWO_PI * node.number("coupling_scale_hz"),
         "base_gamma1": TWO_PI * node.number("base_gamma1_hz"),
-        "seed": seed,
         "linewidth_range": (TWO_PI * lw_lo, TWO_PI * lw_hi),
         "jump_fraction": node.number("jump_fraction"),
     }
@@ -227,13 +226,12 @@ def _parse_tls(node: _Node, seed: int) -> EnsembleConfig:
     return _build("tls", EnsembleConfig, **kwargs)
 
 
-def _parse_campaign(node: _Node, seed: int) -> CampaignConfig:
+def _parse_campaign(node: _Node) -> CampaignConfig:
     kwargs = {
         "point_rate": node.number("point_rate_hz"),
         "duration": node.number("duration_s"),
         "n_averages": node.integer("n_averages", minimum=1, maximum=MAX_AVERAGES),
         "temperature": node.number("temperature_k"),
-        "seed": seed,
     }
     node.close()
     ticks = kwargs["duration"] * kwargs["point_rate"]
@@ -260,9 +258,9 @@ def _parse_phenomenological(node: _Node | None):
 def parse_config(data) -> RunConfig:
     """Validate a decoded JSON object and convert units to internal form.
 
-    The single top-level seed is the whole configuration's randomness
-    authority: the ensemble and campaign blocks inherit it, so one
-    override (flag or environment) retargets every stochastic command.
+    The single top-level seed is the configuration's only seed: the
+    command line resolves it against its overrides (flag or environment)
+    and hands each random stage its own seed spawned from the result.
     """
     root = _Node(data, "")
     seed = root.integer("seed", minimum=0)
@@ -270,8 +268,8 @@ def parse_config(data) -> RunConfig:
         circuit=_parse_circuit(root.child("circuit")),
         geometry=_parse_geometry(root.child("geometry")),
         ports=_parse_ports(root.child_list("ports")),
-        tls=_parse_tls(root.child("tls"), seed),
-        campaign=_parse_campaign(root.child("campaign"), seed),
+        tls=_parse_tls(root.child("tls")),
+        campaign=_parse_campaign(root.child("campaign")),
         phenomenological=_parse_phenomenological(
             root.child("phenomenological", required=False)),
         s_delta=root.number("s_delta_w_per_hz"),
@@ -317,4 +315,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise ConfigError(f"malformed JSON: {exc}") from None
     return parse_config(data)

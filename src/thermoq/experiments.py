@@ -28,7 +28,7 @@ _CAMPAIGN_TRACE_SPAN = 3.0  # decay constants covered by each trace
 
 def _shot_noise(p, n_averages, seed):
     """Fraction of successes in ``n_averages`` Bernoulli trials per point."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     return rng.binomial(n_averages, p) / n_averages
 
 
@@ -50,13 +50,12 @@ def fit_decay_traces(times, p_e):
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Long-run measurement schedule: tick rate, span, averaging, seed."""
+    """Long-run measurement schedule: tick rate, span, averaging, temperature."""
 
     point_rate: float
     duration: float
     n_averages: int
     temperature: float
-    seed: int
 
     def __post_init__(self):
         if not self.point_rate > 0:
@@ -81,14 +80,15 @@ class CampaignResult:
     gap_indices: tuple
 
 
-def simulate_campaign(config: CampaignConfig, gamma1_source: TimeSeries) -> CampaignResult:
+def simulate_campaign(config: CampaignConfig, gamma1_source: TimeSeries,
+                      seed: int) -> CampaignResult:
     """Measure a drifting relaxation rate the way an experiment would.
 
     ``gamma1_source`` is a TimeSeries of true rates, sampled at each
     campaign tick by zero-order hold.  Each tick simulates one
     shot-noise-limited relaxation trace, exp(-rate*t) over 3 decay
     constants, at the instantaneous true rate.  The whole (ticks, points)
-    grid draws its noise from ``SeedSequence(config.seed)`` in C order, so
+    grid draws its noise from ``default_rng(seed)`` in C order, so
     a tick's noise does not depend on the ticks after it; all traces are
     then fitted in one batch.  Ticks whose fit shows no significant decay,
     or spans fewer than 1.5 fitted decay constants (a wild fit at low
@@ -105,7 +105,7 @@ def simulate_campaign(config: CampaignConfig, gamma1_source: TimeSeries) -> Camp
 
     times = np.ascontiguousarray(np.linspace(
         0.0, _CAMPAIGN_TRACE_SPAN / rates, _CAMPAIGN_TRACE_POINTS, axis=1))
-    p_e = _shot_noise(np.exp(-rates[:, None] * times), config.n_averages, config.seed)
+    p_e = _shot_noise(np.exp(-rates[:, None] * times), config.n_averages, seed)
 
     fits, no_decay, short_span = fit_decay_traces(times, p_e)
     good = ~(no_decay | short_span)
@@ -114,6 +114,6 @@ def simulate_campaign(config: CampaignConfig, gamma1_source: TimeSeries) -> Camp
     # a gap holds the last good estimate before it, or the first one
     first_good = int(np.argmax(good))
     held = np.maximum.accumulate(np.where(good, np.arange(n_points), first_good))
-    series = TimeSeries(0.0, dt, fits.parameters[held, 0], seed_used=config.seed)
+    series = TimeSeries(0.0, dt, fits.parameters[held, 0])
     return CampaignResult(series=series,
                           gap_indices=tuple(np.flatnonzero(~good).tolist()))

@@ -137,6 +137,14 @@ def _render_hz(omega: float) -> str:
 
 def _parse_hz(token: str) -> float:
     hz = Decimal(token)
+    # an exact Fraction holds 10**|exponent|, so a token such as 1e99999999
+    # would take minutes; past these exponents the outcome is already fixed
+    # (finite reads stop at an adjusted exponent of 307, nonzero ones at -325)
+    if hz.is_finite() and hz:
+        if hz.adjusted() > 310:
+            raise OverflowError(f"{token!r} overflows")
+        if hz.adjusted() < -330:
+            return math.copysign(0.0, hz)
     # the exact product drops the sign of zero; restore it from the token
     return math.copysign(float(Fraction(hz) * _TWO_PI_EXACT), hz)
 
@@ -505,14 +513,19 @@ class Table:
 
     def read(self, path) -> list:
         """Return one float array per header column (rad/s for Hz)."""
+        return self._read(path)[0]
+
+    def _read(self, path) -> tuple:
+        """``read``'s columns and the file row numbers of the data rows, for
+        ``_file_row``: None when no blank line is skipped."""
         data = Path(path).read_bytes()
         head = (",".join(self.header) + "\n").encode()
         if data.startswith(head) and len(data) > len(head):
             columns = self._parse_rows(data, len(head))
             if columns is not None:
-                return columns
+                return columns, None
         numbers, stream = self._lines(data)
-        return self._parse_rows(stream, 0, numbers)
+        return self._parse_rows(stream, 0, numbers), numbers
 
     def _parse_rows(self, data: bytes, begin: int, numbers=None):
         """One float array per column from the rows of ``data[begin:]``, in
@@ -569,7 +582,7 @@ class Table:
             parse = _parse_hz if name in self.hz else float
             for j, first, last in tokens:
                 values[j] = _parse(parse, data[first:last].decode("utf-8"),
-                                   j + 2 if numbers is None else numbers[j], name)
+                                   _file_row(numbers, j), name)
         return columns
 
     def _lines(self, data: bytes) -> tuple:
@@ -600,6 +613,12 @@ class Table:
         return numbers, ("\n".join(rows) + "\n").encode()
 
 
+def _file_row(numbers, j: int) -> int:
+    """The file row of data row ``j`` (counted from 0) given ``Table._read``'s
+    row numbers."""
+    return j + 2 if numbers is None else numbers[j]
+
+
 TIME_SERIES = Table(("time_s", "gamma1_hz"), hz=("gamma1_hz",))
 SPECTRUM = Table(("freq_hz", "psd_w_per_hz"), hz=("freq_hz",))
 STARK_SWEEP = Table(("temp_k", "shift_hz"), hz=("shift_hz",))
@@ -616,19 +635,22 @@ def write_time_series(path, series: TimeSeries) -> None:
 
 
 def read_time_series(path) -> TimeSeries:
-    times, values = TIME_SERIES.read(path)
+    (times, values), numbers = TIME_SERIES._read(path)
     if times.size < 2:
         raise CsvFormatError("need at least 2 rows to infer the sampling interval")
     dt = times[1] - times[0]
     if not dt > 0:
-        raise CsvFormatError("row 3: time column must be strictly increasing")
+        raise CsvFormatError(f"row {_file_row(numbers, 1)}: "
+                             "time column must be strictly increasing")
     # |times - (t0 + dt*k)| <= 1e-9*dt with one temporary; NaN fails it
     grid = np.arange(times.size, dtype=float)
     grid *= dt
     grid += times[0]
     grid -= times
     if not np.abs(grid, out=grid).max() <= 1e-9 * dt:
-        raise CsvFormatError("time column is not uniformly sampled")
+        j = int(np.argmax(~(grid <= 1e-9 * dt)))
+        raise CsvFormatError(f"row {_file_row(numbers, j)}: "
+                             "time column is not uniformly sampled")
     return TimeSeries(t0=float(times[0]), dt=float(dt), values=values)
 
 
@@ -642,8 +664,14 @@ def write_stark_sweep(path, points) -> None:
 
 
 def read_stark_sweep(path) -> list:
-    temps, shifts = STARK_SWEEP.read(path)
-    return [StarkSweepPoint(t, s) for t, s in zip(temps.tolist(), shifts.tolist())]
+    (temps, shifts), numbers = STARK_SWEEP._read(path)
+    points = []
+    for j, (t, s) in enumerate(zip(temps.tolist(), shifts.tolist())):
+        try:
+            points.append(StarkSweepPoint(t, s))
+        except DomainError as exc:
+            raise DomainError(f"row {_file_row(numbers, j)}: {exc}") from None
+    return points
 
 
 def write_floor_points(path, points) -> None:
@@ -651,5 +679,10 @@ def write_floor_points(path, points) -> None:
 
 
 def read_floor_points(path) -> list:
-    temps, mu = FLOOR_POINTS.read(path)
+    """(temperature, white level) pairs; every level must be > 0."""
+    (temps, mu), numbers = FLOOR_POINTS._read(path)
+    if not (mu > 0).all():
+        j = int(np.argmax(~(mu > 0)))
+        raise DomainError(f"row {_file_row(numbers, j)}: "
+                          f"white level {mu[j].item()!r} must be > 0")
     return list(zip(temps.tolist(), mu.tolist()))

@@ -2,7 +2,7 @@
 
 ``periodogram`` turns a uniformly sampled gamma1(t) record into a
 one-sided spectral density with an unambiguous absolute normalization
-(carried as text inside every Spectrum); ``psd_estimate`` log-bins it.
+(stated in its docstring); ``psd_estimate`` log-bins it.
 One log-binned periodogram is used rather than segment averaging:
 records of ~1200 points barely cover three decades, and segmenting
 would destroy the lowest decade where the spectral exponent lives.
@@ -24,12 +24,6 @@ from .constants import TWO_PI, hbar
 from .errors import DomainError
 from .tlssim import TimeSeries
 
-CONVENTION_NOTE = (
-    "One-sided power spectral density on an angular-frequency axis: "
-    "S(omega_k) = (hbar/2pi) * (2*dt/N) * |X_k|^2 with X_k the DFT of the "
-    "mean-subtracted series (half weight at the Nyquist bin), so that "
-    "sum(S * delta_f) = hbar * Var(series) / 2pi."
-)
 
 @dataclass
 class Spectrum:
@@ -43,7 +37,6 @@ class Spectrum:
 
     omegas: np.ndarray
     values: np.ndarray
-    convention_note: str = CONVENTION_NOTE
     bin_counts: np.ndarray | None = None
 
     def __post_init__(self):
@@ -109,7 +102,10 @@ class FloorScalingFit:
 def periodogram(series: TimeSeries) -> Spectrum:
     """Raw one-sided periodogram of a uniformly sampled series.
 
-    Exact discrete Parseval identity: sum(values) * delta_f equals
+    One-sided power spectral density on an angular-frequency axis:
+    S(omega_k) = (hbar/2pi) * (2*dt/N) * |X_k|^2 with X_k the DFT of the
+    mean-subtracted series (half weight at the Nyquist bin), so that the
+    exact discrete Parseval identity holds: sum(values) * delta_f equals
     hbar * Var(series) / 2pi to rounding.
     """
     x = series.values - series.values.mean()

@@ -82,7 +82,6 @@ class EnsembleConfig:
     rate_decades: tuple = (1e-5, 1e-1)
     coupling_scale: float = TWO_PI * 10e3
     base_gamma1: float = TWO_PI * 3.9e6
-    seed: int = 0
     linewidth_range: tuple = (TWO_PI * 1e9, TWO_PI * 10e9)
     jump_fraction: float = 0.5
 
@@ -115,13 +114,12 @@ class EnsembleConfig:
 class TimeSeries:
     """Uniformly sampled record of a fluctuating quantity.
 
-    values are rad/s for gamma1 series; seed_used records provenance.
+    values are rad/s for gamma1 series.
     """
 
     t0: float
     dt: float
     values: np.ndarray
-    seed_used: int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -141,10 +139,10 @@ def _log_uniform(rng, lo, hi, n):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
 
 
-def sample_ensemble(config: EnsembleConfig) -> TlsEnsemble:
+def sample_ensemble(config: EnsembleConfig, seed: int) -> TlsEnsemble:
     """Draw a TLS ensemble from the configured distributions.
 
-    Deterministic given config.seed.  Raises NonNormalizableError for
+    Same seed, same ensemble.  Raises NonNormalizableError for
     x_exponent <= -1 (epsilon^x is not normalizable on (0, epsilon_max])
     and DomainError where x_exponent lies so close to -1 that a sampled
     epsilon underflows to 0.
@@ -152,7 +150,7 @@ def sample_ensemble(config: EnsembleConfig) -> TlsEnsemble:
     if config.x_exponent <= -1:
         raise NonNormalizableError(
             f"epsilon^x density with x = {config.x_exponent} is not normalizable")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    rng = np.random.default_rng(seed)
     n = config.n_tls
     # inverse-CDF sampling of p(eps) ~ eps^x on (0, eps_max]
     u = 1.0 - rng.random(n)  # in (0, 1]
@@ -216,14 +214,14 @@ def simulate_microscopic(ensemble: TlsEnsemble, omega_q: float, T: float, durati
     half = ensemble.linewidth / 2
     centers = ensemble.omega_tls + np.multiply.outer([1, -1], ensemble.jump / 2)  # up, down
     v_up, v_dn = ensemble.coupling * half**2 / (half**2 + (omega_q - centers) ** 2)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     up_first = rng.random(ensemble.epsilon.size) < 0.5
     counts = rng.poisson(ensemble.switch_rate * (T / T_REF) * duration)
     start, other = np.where(up_first, v_up, v_dn), np.where(up_first, v_dn, v_up)
     values = _telegraph_sum(n, counts, rng.uniform(0.0, duration / dt, counts.sum()),
                             start, other)
     values += float(base_gamma1) + start.sum()
-    return TimeSeries(t0=0.0, dt=dt, values=values, seed_used=seed)
+    return TimeSeries(t0=0.0, dt=dt, values=values)
 
 
 def _shaped_psd(beta: float, knee: float, white_sigma: float, n: int,
@@ -259,9 +257,9 @@ def simulate_phenomenological(mean: float, beta: float, knee: float, white_sigma
     n = int(round(duration / dt))
     if n < 2:
         raise DomainError("need at least 2 samples")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     if white_sigma == 0.0:
-        return TimeSeries(0.0, dt, np.full(n, float(mean)), seed_used=seed)
+        return TimeSeries(0.0, dt, np.full(n, float(mean)))
 
     fluct = white_sigma * rng.standard_normal(n)
     g_col = _shaped_psd(beta, knee, white_sigma, n, dt)
@@ -272,7 +270,7 @@ def simulate_phenomenological(mean: float, beta: float, knee: float, white_sigma
         coeff[-1] = math.sqrt(g_col[-1] * n / (2 * dt)) * z[-1, 0]
     fluct += np.fft.irfft(coeff, n)
     values = mean + fluct - fluct.mean()
-    return TimeSeries(0.0, dt, values, seed_used=seed)
+    return TimeSeries(0.0, dt, values)
 
 
 def phenomenological_sigma(beta: float, knee: float, white_sigma: float,

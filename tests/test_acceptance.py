@@ -203,8 +203,8 @@ def test_c10_floor_scaling_closed_loop(capsys):
 def test_c11_campaign_estimator_scatter(capsys):
     config = experiments.CampaignConfig(
         point_rate=0.1, duration=12000.0, n_averages=400000,
-        temperature=0.05, seed=13)
-    result = experiments.simulate_campaign(config, constant_source())
+        temperature=0.05)
+    result = experiments.simulate_campaign(config, constant_source(), 13)
     values = result.series.values
     std = float(np.std(values))
     fit = spectral.fit_knee_spectrum(spectral.psd_estimate(result.series))

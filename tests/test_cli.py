@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermoq
-from thermoq import cli, io, spectra, spectral
+from thermoq import cli, experiments, io, spectra, spectral, tlssim
 from thermoq.cavity import StarkSweepPoint
 from thermoq.config import load_config
 from thermoq.constants import TWO_PI
@@ -85,6 +85,14 @@ class TestRates:
             (tmp_path / "out" / "rates.json").read_bytes()).hexdigest()
         assert entry["sha256"] == digest
 
+    def test_overlong_config_integer_exits_2(self, tmp_path, capsys):
+        # a 5,000-digit seed is past Python's int-string digit limit
+        cfg = write_config(tmp_path, seed="PLACEHOLDER")
+        cfg.write_text(cfg.read_text().replace('"PLACEHOLDER"', "7" * 5000))
+        assert cli.main(["rates", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed JSON: ")
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
         other = tmp_path / "elsewhere"
@@ -148,6 +156,17 @@ class TestStarkSweepAndCalibrate:
             "error: readout calibration fits alpha: a known alpha is "
             "for the antenna port only\n")
         assert not (tmp_path / "out" / "calibration.json").exists()
+
+    def test_out_of_range_temperature_names_the_file_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text("temp_k,shift_hz\n0.05,-1\n0.5,-2\n\n3,-3\n1.5,-4\n")
+        assert cli.main(["calibrate", "--config", str(cfg), "--input", str(sweep_csv),
+                         "--port", "readout"]) == 2
+        assert capsys.readouterr().err == (
+            "error: row 5: sweep temperature 3.0 K outside the instrument range "
+            "[0.04, 2.0] K\n")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_degenerate_sweep_is_a_fit_error(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -359,6 +378,15 @@ class TestFloorFit:
         assert capsys.readouterr().err == f"error: row {row}: white level {level!r} must be > 0\n"
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_level_row_counts_blank_lines(self, tmp_path, capsys):
+        floor_csv = tmp_path / "floor.csv"
+        floor_csv.write_text("temp_k,psd_w_per_hz\n0.05,1.0e-24\n0.1,1.1e-24\n\n"
+                             "0.2,0\n0.4,1.3e-24\n0.8,1.5e-24\n")
+        assert cli.main(["floor-fit", "--input", str(floor_csv),
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: row 5: white level 0.0 must be > 0\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestCampaign:
     def test_small_campaign_pipeline(self, tmp_path):
@@ -388,6 +416,66 @@ class TestCampaign:
                      "campaign_fit.json", "campaign_summary.json",
                      "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def library_series(run, mode, seed):
+    """tls-sim's gamma1(t) record at ``seed``, from the library: the
+    phenomenological generator takes the seed itself, the microscopic model
+    splits it into (ensemble, dynamics) seeds."""
+    duration, dt = run.campaign.duration, 1.0 / run.campaign.point_rate
+    if mode == "phenomenological":
+        p = run.phenomenological
+        return tlssim.simulate_phenomenological(p.mean, p.beta, p.knee, p.white_sigma,
+                                                duration, dt, seed)
+    ensemble_seed, dynamics_seed = cli._spawn_seeds(seed, 2)
+    return tlssim.simulate_microscopic(
+        tlssim.sample_ensemble(run.tls, ensemble_seed), run.circuit.omega_q0,
+        run.campaign.temperature, duration, dt, dynamics_seed,
+        base_gamma1=run.tls.base_gamma1)
+
+
+class TestSeedTree:
+    DATA = {"tls-sim": ["gamma1_series.csv"],
+            "campaign": ["campaign_series.csv", "campaign_psd.csv", "campaign_fit.json",
+                         "campaign_summary.json"]}
+
+    @pytest.mark.parametrize("mode", ["microscopic", "phenomenological"])
+    @pytest.mark.parametrize("command", ["tls-sim", "campaign"])
+    def test_every_seed_source_feeds_the_same_stages(self, tmp_path, monkeypatch,
+                                                     command, mode):
+        small = {"tls.n_tls": 20, "campaign.duration_s": 2560.0}
+        cfg = write_config(tmp_path, **small)
+        (tmp_path / "seven").mkdir()
+        cfg_seven = write_config(tmp_path / "seven", seed=7, **small)
+        argv = [command, "--mode", mode, "--output-dir"]
+        assert cli.main([*argv, str(tmp_path / "flag"), "--config", str(cfg),
+                         "--seed", "7"]) == 0
+        monkeypatch.setenv("THERMOQ_SEED", "7")
+        assert cli.main([*argv, str(tmp_path / "env"), "--config", str(cfg)]) == 0
+        monkeypatch.delenv("THERMOQ_SEED")
+        assert cli.main([*argv, str(tmp_path / "config"), "--config", str(cfg_seven)]) == 0
+        for name in self.DATA[command]:
+            flag = (tmp_path / "flag" / name).read_bytes()
+            assert (tmp_path / "env" / name).read_bytes() == flag
+            assert (tmp_path / "config" / name).read_bytes() == flag
+        assert (tmp_path / "env" / "report.json").read_bytes() == \
+            (tmp_path / "flag" / "report.json").read_bytes()
+
+        # the library called with the seeds the command spawns from 7
+        run = load_config(cfg)
+        library = tmp_path / "library"
+        library.mkdir()
+        if command == "tls-sim":
+            io.write_time_series(library / "gamma1_series.csv", library_series(run, mode, 7))
+        else:
+            source_seed, measure_seed = cli._spawn_seeds(7, 2)
+            result = experiments.simulate_campaign(
+                run.campaign, library_series(run, mode, source_seed), measure_seed)
+            io.write_time_series(library / "campaign_series.csv", result.series)
+            io.write_spectrum(library / "campaign_psd.csv",
+                              spectral.psd_estimate(result.series))
+        for path in library.iterdir():
+            assert path.read_bytes() == (tmp_path / "flag" / path.name).read_bytes()
 
 
 SAMPLE = Path(__file__).resolve().parents[1] / "sample.json"

@@ -104,11 +104,9 @@ class TestUnitsConvertedOnce:
         assert run.phenomenological.white_sigma == TWO_PI * 215e3
 
     def test_single_seed_authority(self):
-        # the one top-level seed feeds the ensemble and campaign blocks
+        # the one top-level seed is the only seed a config carries
         run = config_mod.parse_config(base_config())
         assert run.seed == 1
-        assert run.tls.seed == 1
-        assert run.campaign.seed == 1
 
     def test_block_level_seed_rejected(self):
         data = base_config()
@@ -304,6 +302,15 @@ class TestLoadConfig:
         path.write_text(json.dumps(data).replace('"PLACEHOLDER"', "1e999"))
         with pytest.raises(ConfigError,
                            match=r"ports\[2\]\.temperature_k: expected a finite"):
+            config_mod.load_config(path)
+
+    def test_overlong_integer_is_config_error(self, tmp_path):
+        # past Python's int-string digit limit json.loads raises a plain ValueError
+        data = base_config()
+        data["seed"] = "PLACEHOLDER"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data).replace('"PLACEHOLDER"', "7" * 5000))
+        with pytest.raises(ConfigError, match=r"^malformed JSON: .*digits"):
             config_mod.load_config(path)
 
     def test_non_utf8_file_is_config_error(self, tmp_path):

@@ -188,24 +188,24 @@ def constant_source(rate=GAMMA1):
 class TestSimulateCampaign:
     def make_config(self, **overrides):
         values = dict(point_rate=0.1, duration=12000.0,
-                      n_averages=N_AVERAGES, temperature=0.05, seed=13)
+                      n_averages=N_AVERAGES, temperature=0.05)
         values.update(overrides)
         return experiments.CampaignConfig(**values)
 
     def test_point_count_and_grid(self):
         # 200 minutes at 0.1 Hz -> 1200 campaign points 10 s apart
         result = experiments.simulate_campaign(self.make_config(),
-                                               constant_source())
+                                               constant_source(), 13)
         assert result.series.values.size == 1200
+        assert result.series.t0 == 0.0
         assert result.series.dt == pytest.approx(10.0)
         assert result.gap_indices == ()
 
     def test_seed_determinism(self):
-        a = experiments.simulate_campaign(self.make_config(), constant_source())
-        b = experiments.simulate_campaign(self.make_config(), constant_source())
+        a = experiments.simulate_campaign(self.make_config(), constant_source(), 13)
+        b = experiments.simulate_campaign(self.make_config(), constant_source(), 13)
         assert np.array_equal(a.series.values, b.series.values)
-        c = experiments.simulate_campaign(self.make_config(seed=14),
-                                          constant_source())
+        c = experiments.simulate_campaign(self.make_config(), constant_source(), 14)
         assert not np.array_equal(a.series.values, c.series.values)
 
     def test_estimator_noise_floor_and_whiteness(self):
@@ -213,7 +213,7 @@ class TestSimulateCampaign:
         # device averaging count it must stay below the observed run-to-
         # run scatter of 2pi x 215 kHz and carry no spectral color.
         result = experiments.simulate_campaign(self.make_config(),
-                                               constant_source())
+                                               constant_source(), 13)
         values = result.series.values
         assert abs(values.mean() / GAMMA1 - 1.0) < 0.01
         assert values.std() < TWO_PI * 215e3
@@ -223,9 +223,8 @@ class TestSimulateCampaign:
     def test_gaps_carry_previous_value(self):
         # At tiny averaging counts some traces carry no significant decay;
         # those ticks are recorded as gaps holding the last good estimate.
-        config = self.make_config(point_rate=0.1, duration=640.0,
-                                  n_averages=4, seed=2)
-        result = experiments.simulate_campaign(config, constant_source())
+        config = self.make_config(point_rate=0.1, duration=640.0, n_averages=4)
+        result = experiments.simulate_campaign(config, constant_source(), 2)
         assert len(result.gap_indices) > 0
         assert result.series.values.size == 64
         assert np.all(np.isfinite(result.series.values))
@@ -244,9 +243,8 @@ class TestSimulateCampaign:
             return real(times, p_e)
 
         monkeypatch.setattr(experiments, "fit_decay_traces", capture)
-        config = self.make_config(point_rate=0.1, duration=640.0,
-                                  n_averages=4, seed=2)
-        result = experiments.simulate_campaign(config, constant_source())
+        config = self.make_config(point_rate=0.1, duration=640.0, n_averages=4)
+        result = experiments.simulate_campaign(config, constant_source(), 2)
         [(times, p_e)] = handed
         serial = []
         for i in range(len(p_e)):
@@ -262,10 +260,10 @@ class TestSimulateCampaign:
         # the shot noise is drawn tick after tick from one stream, so a
         # short campaign is the head of a long one, values and gaps alike
         short = experiments.simulate_campaign(
-            self.make_config(duration=640.0, n_averages=n_averages, seed=2),
-            constant_source())
+            self.make_config(duration=640.0, n_averages=n_averages),
+            constant_source(), 2)
         long = experiments.simulate_campaign(
-            self.make_config(n_averages=n_averages, seed=2), constant_source())
+            self.make_config(n_averages=n_averages), constant_source(), 2)
         assert short.series.values.size == 64
         assert long.series.values.size == 1200
         assert np.array_equal(short.series.values, long.series.values[:64])
@@ -277,9 +275,8 @@ class TestSimulateCampaign:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for seed in range(1, 5):
-                config = self.make_config(duration=640.0, n_averages=4,
-                                          seed=seed)
-                experiments.simulate_campaign(config, constant_source())
+                config = self.make_config(duration=640.0, n_averages=4)
+                experiments.simulate_campaign(config, constant_source(), seed)
 
     def test_source_lookup_is_zero_order_hold(self):
         # a source sampled on its own, offset grid gives the same campaign
@@ -291,8 +288,8 @@ class TestSimulateCampaign:
             source.values[min(max(int((t - source.t0) // source.dt), 0),
                               source.values.size - 1)]
             for t in (10.0 * k for k in range(300))]))
-        a = experiments.simulate_campaign(config, source)
-        b = experiments.simulate_campaign(config, held)
+        a = experiments.simulate_campaign(config, source, 13)
+        b = experiments.simulate_campaign(config, held, 13)
         assert np.array_equal(a.series.values, b.series.values)
         assert a.gap_indices == b.gap_indices
 
@@ -310,20 +307,13 @@ class TestSimulateCampaign:
         rates = GAMMA1 * np.linspace(0.8, 1.2, 64)
         experiments.simulate_campaign(
             self.make_config(duration=640.0, n_averages=40),
-            TimeSeries(0.0, 10.0, rates))
+            TimeSeries(0.0, 10.0, rates), 13)
         [(times, p_e)] = handed
         assert times.shape == p_e.shape == (64, 25)
         assert np.all(times[:, 0] == 0.0)
         assert times[:, -1] * rates == pytest.approx(np.full(64, 3.0), rel=1e-12)
         assert np.all((p_e >= 0) & (p_e <= 1))
         assert np.array_equal(p_e * 40, np.round(p_e * 40))
-
-    def test_series_provenance(self):
-        result = experiments.simulate_campaign(
-            self.make_config(duration=640.0, seed=17), constant_source())
-        assert result.series.t0 == 0.0
-        assert result.series.seed_used == 17
-        assert isinstance(result.gap_indices, tuple)
 
     def test_leading_gaps_hold_the_first_good_estimate(self, monkeypatch):
         real = experiments.fit_decay_traces
@@ -335,7 +325,7 @@ class TestSimulateCampaign:
 
         monkeypatch.setattr(experiments, "fit_decay_traces", first_two_gap)
         result = experiments.simulate_campaign(
-            self.make_config(duration=640.0), constant_source())
+            self.make_config(duration=640.0), constant_source(), 13)
         values = result.series.values
         assert result.gap_indices == (0, 1)
         assert values[0] == values[1] == values[2]
@@ -353,8 +343,8 @@ class TestSimulateCampaign:
         raw = np.floor((ticks - t0) / 10.0).astype(int)
         assert np.any((raw < 0) | (raw >= n))
         held = TimeSeries(0.0, 10.0, source.values[np.clip(raw, 0, n - 1)])
-        a = experiments.simulate_campaign(config, source)
-        b = experiments.simulate_campaign(config, held)
+        a = experiments.simulate_campaign(config, source, 13)
+        b = experiments.simulate_campaign(config, held, 13)
         assert np.array_equal(a.series.values, b.series.values)
 
     def test_rate_step_is_tracked(self):
@@ -363,7 +353,7 @@ class TestSimulateCampaign:
         rates = np.full(1200, GAMMA1)
         rates[600:] = 1.5 * GAMMA1
         result = experiments.simulate_campaign(
-            self.make_config(), TimeSeries(0.0, 10.0, rates))
+            self.make_config(), TimeSeries(0.0, 10.0, rates), 13)
         values = result.series.values
         assert abs(values[:600].mean() / GAMMA1 - 1.0) < 0.01
         assert abs(values[600:].mean() / (1.5 * GAMMA1) - 1.0) < 0.01
@@ -373,14 +363,14 @@ class TestSimulateCampaign:
         rates[7] = math.nan
         with pytest.raises(DomainError):
             experiments.simulate_campaign(self.make_config(),
-                                          TimeSeries(0.0, 10.0, rates))
+                                          TimeSeries(0.0, 10.0, rates), 13)
 
     def test_non_positive_source_rate(self):
         rates = np.full(1200, GAMMA1)
         rates[500:] = 0.0
         with pytest.raises(DomainError):
             experiments.simulate_campaign(self.make_config(),
-                                          TimeSeries(0.0, 10.0, rates))
+                                          TimeSeries(0.0, 10.0, rates), 13)
 
     def test_all_gaps_is_an_error(self, monkeypatch):
         real = experiments.fit_decay_traces
@@ -391,10 +381,9 @@ class TestSimulateCampaign:
             return fits, np.ones(len(times), dtype=bool), short_span
 
         monkeypatch.setattr(experiments, "fit_decay_traces", no_decay)
-        config = self.make_config(point_rate=0.1, duration=640.0,
-                                  n_averages=1, seed=1)
+        config = self.make_config(point_rate=0.1, duration=640.0, n_averages=1)
         with pytest.raises(FitError):
-            experiments.simulate_campaign(config, constant_source())
+            experiments.simulate_campaign(config, constant_source(), 1)
 
     def test_config_guards(self):
         with pytest.raises(DomainError):

@@ -7,7 +7,9 @@ write-then-read round trip is the identity on IEEE doubles.
 
 import hashlib
 import math
+import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from thermoq.tlssim import TimeSeries
 def sample_series(seed=4):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     values = TWO_PI * (3.9e6 + 215e3 * rng.standard_normal(96))
-    return TimeSeries(0.0, 10.0, values, seed_used=seed)
+    return TimeSeries(0.0, 10.0, values)
 
 
 def near_halfway(rng, scale, count, divisor=1.0):
@@ -441,6 +443,49 @@ def test_reader_near_ties_match_exact_path(tmp_path):
     assert io.STARK_SWEEP.read(path)[1].tobytes() == expected.tobytes()
 
 
+def exact_hz(token):
+    """``_parse_hz`` without its exponent shortcuts: the token times 2pi,
+    one exact product, rounded once, signed as the token."""
+    hz = Decimal(token)
+    return math.copysign(float(Fraction(hz) * Fraction(TWO_PI)), hz)
+
+
+@pytest.mark.parametrize("adjusted", [*range(-340, -314), *range(300, 321)])
+def test_hz_exponent_shortcuts_match_exact_parse(adjusted):
+    # around the last finite (adjusted exponent 307) and the last nonzero
+    # (-325) reads, and past the shortcuts' bounds of 310 and -330
+    for digits, places in [("1", 0), ("-2.5", 0), ("9.99999999999999999999", 0),
+                           ("1.7976931348623157", 0), ("-4.9406564584124654", 0),
+                           ("999.5", 2), ("-0.00123", -3)]:
+        token = f"{digits}e{adjusted - places}"
+        assert Decimal(token).adjusted() == adjusted
+        try:
+            expected = exact_hz(token)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                io._parse_hz(token)
+            continue
+        got = io._parse_hz(token)
+        assert (got, math.copysign(1.0, got)) == (expected, math.copysign(1.0, expected))
+
+
+@pytest.mark.parametrize("token, read", [("1e999999999", None), ("-1e-999999999", -0.0),
+                                         ("1E10000000", None), ("1e-10000000", 0.0)])
+def test_huge_hz_exponent_reads_at_once(tmp_path, token, read):
+    # an exact Fraction of such a token would hold 10**|exponent| as an integer
+    path = tmp_path / "stark.csv"
+    path.write_text(f"temp_k,shift_hz\n0.5,{token}\n", encoding="utf-8")
+    start = time.perf_counter()
+    if read is None:
+        with pytest.raises(CsvFormatError,
+                           match=rf"^row 2: could not parse '{token}' in column 'shift_hz'$"):
+            io.STARK_SWEEP.read(path)
+    else:
+        shift = io.STARK_SWEEP.read(path)[1][0]
+        assert (shift, math.copysign(1.0, shift)) == (read, math.copysign(1.0, read))
+    assert time.perf_counter() - start < 1.0
+
+
 def reference_read(table, path):
     """Table.read as a plain loop: every token through the exact ``_parse``."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -731,6 +776,20 @@ class TestTimeSeriesRoundTrip:
         with pytest.raises(CsvFormatError):
             io.read_time_series(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("0.0,1.0\n\n0.0,2.0\n20.0,3.0\n",
+         "row 4: time column must be strictly increasing"),
+        ("0.0,1.0\n10.0,2.0\n\n21.0,3.0\n30.0,4.0\n",
+         "row 5: time column is not uniformly sampled"),
+    ])
+    def test_sampling_refusal_names_the_file_row(self, tmp_path, body, message):
+        # the blank line is a file row, but no data row
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,gamma1_hz\n" + body)
+        with pytest.raises(CsvFormatError) as excinfo:
+            io.read_time_series(path)
+        assert str(excinfo.value) == message
+
     def test_decimal_point_rendering(self, tmp_path):
         # separator is always the comma, decimal mark always the point
         path = tmp_path / "series.csv"
@@ -774,6 +833,14 @@ class TestStarkSweepRoundTrip:
                            [p.delta_omega_q for p in points], rtol=0, atol=0)
         assert path.read_text().splitlines()[0] == "temp_k,shift_hz"
 
+    def test_out_of_range_temperature_names_the_file_row(self, tmp_path):
+        path = tmp_path / "stark.csv"
+        path.write_text("temp_k,shift_hz\n0.05,-1\n0.1,-2\n\n3,-3\n0.2,-4\n")
+        with pytest.raises(DomainError) as excinfo:
+            io.read_stark_sweep(path)
+        assert str(excinfo.value) == (
+            "row 5: sweep temperature 3.0 K outside the instrument range [0.04, 2.0] K")
+
 
 class TestFloorPoints:
     def test_round_trip(self, tmp_path):
@@ -788,3 +855,11 @@ class TestFloorPoints:
         path.write_text("")
         with pytest.raises(CsvFormatError):
             io.read_floor_points(path)
+
+    @pytest.mark.parametrize("level", ["0", "-1e-25"])
+    def test_level_not_above_zero_names_the_file_row(self, tmp_path, level):
+        path = tmp_path / "floor.csv"
+        path.write_text(f"temp_k,psd_w_per_hz\n0.05,1e-24\n\n0.1,{level}\n0.2,1.2e-24\n")
+        with pytest.raises(DomainError) as excinfo:
+            io.read_floor_points(path)
+        assert str(excinfo.value) == f"row 4: white level {float(level)!r} must be > 0"

@@ -24,7 +24,7 @@ MEAN = TWO_PI * 3.9e6  # typical relaxation-rate level, rad/s
 
 def white_series(n=1200, dt=10.0, sigma=TWO_PI * 215e3, seed=0):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return TimeSeries(0.0, dt, MEAN + sigma * rng.standard_normal(n), seed_used=seed)
+    return TimeSeries(0.0, dt, MEAN + sigma * rng.standard_normal(n))
 
 
 def power_law_spectrum(amplitude, beta, floor, omega_lo=TWO_PI * 1e-5,
@@ -51,11 +51,6 @@ class TestSpectrumType:
     def test_bin_counts_default_to_one_point_per_value(self):
         s = power_law_spectrum(1e-30, 1.0, 1e-28, n=12)
         assert s.bin_counts.tolist() == [1] * 12
-
-    def test_carries_normalization_note(self):
-        s = power_law_spectrum(1e-30, 1.0, 1e-28)
-        assert "one-sided" in s.convention_note.lower()
-        assert "hbar" in s.convention_note.lower()
 
 
 class TestPeriodogram:

@@ -18,7 +18,7 @@ FIELDS = [field.name for field in dataclasses.fields(tlssim.TlsEnsemble)]
 
 
 def make_config(**overrides):
-    values = dict(n_tls=200, seed=1)
+    values = dict(n_tls=200)
     values.update(overrides)
     return tlssim.EnsembleConfig(**values)
 
@@ -63,33 +63,33 @@ def _per_sample_values(ensemble, omega_q, T, duration, dt, seed, base_gamma1):
 def _sample_json_ensemble():
     run = config.load_config(pathlib.Path(__file__).resolve().parent.parent / "sample.json")
     ensemble_seed, dynamics_seed = cli._spawn_seeds(run.seed, 2)
-    ensemble = tlssim.sample_ensemble(dataclasses.replace(run.tls, seed=ensemble_seed))
+    ensemble = tlssim.sample_ensemble(run.tls, ensemble_seed)
     return run, ensemble, dynamics_seed
 
 
 class TestTimeSeries:
     def test_invariants(self):
         with pytest.raises(DomainError):
-            tlssim.TimeSeries(0.0, 0.0, np.zeros(4), 0)
+            tlssim.TimeSeries(0.0, 0.0, np.zeros(4))
         with pytest.raises(DomainError):
-            tlssim.TimeSeries(0.0, 1.0, np.zeros(1), 0)
+            tlssim.TimeSeries(0.0, 1.0, np.zeros(1))
         with pytest.raises(DomainError):
-            tlssim.TimeSeries(0.0, 1.0, np.array([1.0, math.nan]), 0)
+            tlssim.TimeSeries(0.0, 1.0, np.array([1.0, math.nan]))
 
     def test_times(self):
-        ts = tlssim.TimeSeries(5.0, 2.0, np.arange(4.0) + 1, 0)
+        ts = tlssim.TimeSeries(5.0, 2.0, np.arange(4.0) + 1)
         assert np.array_equal(ts.times, [5.0, 7.0, 9.0, 11.0])
 
 
 class TestSampleEnsemble:
     def test_deterministic(self):
-        a = tlssim.sample_ensemble(make_config())
-        b = tlssim.sample_ensemble(make_config())
+        a = tlssim.sample_ensemble(make_config(), 1)
+        b = tlssim.sample_ensemble(make_config(), 1)
         for field in FIELDS:
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_count_and_derived_frequency(self):
-        ensemble = tlssim.sample_ensemble(make_config(n_tls=50))
+        ensemble = tlssim.sample_ensemble(make_config(n_tls=50), 1)
         for field in FIELDS:
             assert getattr(ensemble, field).shape == (50,)
         assert np.all(ensemble.omega_tls >= ensemble.delta_t / hbar)
@@ -98,7 +98,7 @@ class TestSampleEnsemble:
     def test_derived_frequency_is_math_hypot_bit_for_bit(self):
         # the records of every microscopic run rest on these exact values
         ensembles = [_sample_json_ensemble()[1]] + [
-            tlssim.sample_ensemble(make_config(n_tls=2000, seed=seed)) for seed in (2, 3, 4)]
+            tlssim.sample_ensemble(make_config(n_tls=2000), seed) for seed in (2, 3, 4)]
         for ensemble in ensembles:
             expected = [math.hypot(e, d) / hbar
                         for e, d in zip(ensemble.epsilon.tolist(), ensemble.delta_t.tolist())]
@@ -106,7 +106,7 @@ class TestSampleEnsemble:
 
     def test_constant_fields(self):
         config = make_config(n_tls=30)
-        ensemble = tlssim.sample_ensemble(config)
+        ensemble = tlssim.sample_ensemble(config, 1)
         assert ensemble.coupling.tolist() == [float(config.coupling_scale)] * 30
         assert ensemble.jump.tolist() == [config.jump_fraction * w
                                           for w in ensemble.linewidth.tolist()]
@@ -114,10 +114,10 @@ class TestSampleEnsemble:
     def test_retained_memory_per_tls(self):
         # six float64 arrays: 48 B per TLS
         n = config.MAX_TLS
-        tlssim.sample_ensemble(make_config(n_tls=n))  # warm-up
+        tlssim.sample_ensemble(make_config(n_tls=n), 1)  # warm-up
         tracemalloc.start()
         try:
-            ensemble = tlssim.sample_ensemble(make_config(n_tls=n))
+            ensemble = tlssim.sample_ensemble(make_config(n_tls=n), 1)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -125,7 +125,7 @@ class TestSampleEnsemble:
         assert retained / n <= 64
 
     def test_record_checks_shapes_and_signs(self):
-        good = tlssim.sample_ensemble(make_config(n_tls=3))
+        good = tlssim.sample_ensemble(make_config(n_tls=3), 1)
         arrays = {field: getattr(good, field) for field in FIELDS}
         for field, bad in [("jump", np.ones(2)), ("epsilon", np.ones((3, 1))),
                            ("delta_t", np.ones((3, 1))), ("coupling", 1.0),
@@ -136,11 +136,11 @@ class TestSampleEnsemble:
 
     def test_epsilon_underflow_names_x_exponent(self):
         with pytest.raises(DomainError, match="^x_exponent = -0.999999 "):
-            tlssim.sample_ensemble(make_config(x_exponent=-0.999999))
+            tlssim.sample_ensemble(make_config(x_exponent=-0.999999), 1)
 
     def test_flat_epsilon_distribution_at_x_zero(self):
-        config = make_config(n_tls=10_000, x_exponent=0.0, seed=3)
-        ensemble = tlssim.sample_ensemble(config)
+        config = make_config(n_tls=10_000, x_exponent=0.0)
+        ensemble = tlssim.sample_ensemble(config, 3)
         u = ensemble.epsilon / config.epsilon_max
         d = stats.kstest(u, "uniform").statistic
         assert d < 1.628 / math.sqrt(len(u))  # critical value at alpha = 0.01
@@ -148,8 +148,8 @@ class TestSampleEnsemble:
     def test_log_uniform_tunnel_splitting(self):
         lo = hbar * TWO_PI * 0.1e9
         hi = hbar * TWO_PI * 10e9  # two decades
-        config = make_config(n_tls=10_000, delta_range=(lo, hi), seed=4)
-        ensemble = tlssim.sample_ensemble(config)
+        config = make_config(n_tls=10_000, delta_range=(lo, hi))
+        ensemble = tlssim.sample_ensemble(config, 4)
         deltas = ensemble.delta_t
         frac_first_decade = np.mean(deltas < 10 * lo)
         sigma = math.sqrt(0.25 / len(deltas))
@@ -157,12 +157,12 @@ class TestSampleEnsemble:
 
     def test_switch_rates_within_band(self):
         config = make_config(n_tls=500, rate_decades=(1e-5, 1e-1))
-        rates = tlssim.sample_ensemble(config).switch_rate
+        rates = tlssim.sample_ensemble(config, 1).switch_rate
         assert np.all((1e-5 <= rates) & (rates <= 1e-1))
 
     def test_non_normalizable_exponent(self):
         with pytest.raises(NonNormalizableError):
-            tlssim.sample_ensemble(make_config(x_exponent=-1.0))
+            tlssim.sample_ensemble(make_config(x_exponent=-1.0), 1)
 
     def test_band_must_span_a_decade(self):
         with pytest.raises(DomainError):
@@ -190,7 +190,7 @@ class TestSimulateMicroscopic:
         assert np.all(ts.values == base)
 
     def test_seed_determinism(self):
-        ensemble = tlssim.sample_ensemble(make_config())
+        ensemble = tlssim.sample_ensemble(make_config(), 1)
         a = tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, 12000.0, 10.0, seed=9)
         b = tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, 12000.0, 10.0, seed=9)
         assert np.array_equal(a.values, b.values)
@@ -199,7 +199,7 @@ class TestSimulateMicroscopic:
 
     def test_never_below_baseline(self):
         base = TWO_PI * 3.9e6
-        ensemble = tlssim.sample_ensemble(make_config(base_gamma1=base))
+        ensemble = tlssim.sample_ensemble(make_config(base_gamma1=base), 1)
         ts = tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, 12000.0, 10.0,
                                          seed=2, base_gamma1=base)
         assert np.all(ts.values >= base)
@@ -228,8 +228,8 @@ class TestSimulateMicroscopic:
         # Telegraph noise is strongly autocorrelated (correlation times up
         # to ~1/(2*rate_min) = 500 s here), so the standard error is taken
         # from block means with blocks much longer than that.
-        config = make_config(rate_decades=(1e-3, 1e-1), seed=12)
-        ensemble = tlssim.sample_ensemble(config)
+        config = make_config(rate_decades=(1e-3, 1e-1))
+        ensemble = tlssim.sample_ensemble(config, 12)
         ts = tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, 1e5, 10.0, seed=13)
         blocks = ts.values.reshape(20, -1).mean(axis=1)  # 5000 s per block
         h1, h2 = blocks[:10], blocks[10:]
@@ -241,13 +241,13 @@ class TestSimulateMicroscopic:
             tlssim.simulate_microscopic(make_tls(), OMEGA_Q, 1.0, 50.0, 10.0, seed=1)
 
     def test_nan_duration_is_refused(self):
-        ensemble = tlssim.sample_ensemble(make_config())
+        ensemble = tlssim.sample_ensemble(make_config(), 1)
         with pytest.raises(DomainError, match="duration"):
             tlssim.simulate_microscopic(ensemble, OMEGA_Q, 1.0, math.nan, 10.0, seed=1)
 
     @pytest.mark.parametrize("n_tls", [0, 200], ids=["empty", "sampled"])
     def test_nan_temperature_is_refused(self, n_tls):
-        ensemble = tlssim.sample_ensemble(make_config(n_tls=n_tls))
+        ensemble = tlssim.sample_ensemble(make_config(n_tls=n_tls), 1)
         with pytest.raises(DomainError, match="temperature"):
             tlssim.simulate_microscopic(ensemble, OMEGA_Q, math.nan, 1200.0, 10.0, seed=1)
 
@@ -261,8 +261,8 @@ class TestSimulateMicroscopic:
         in_band = 0
         for child in np.random.SeedSequence(7).spawn(100):
             seed_cfg, seed_dyn = (int(v) for v in child.generate_state(2))
-            config = make_config(seed=seed_cfg)
-            ensemble = tlssim.sample_ensemble(config)
+            config = make_config()
+            ensemble = tlssim.sample_ensemble(config, seed_cfg)
             ts = tlssim.simulate_microscopic(
                 ensemble, OMEGA_Q, 1.0, 12000.0, 10.0, seed_dyn,
                 base_gamma1=config.base_gamma1)
@@ -309,7 +309,7 @@ class TestSignedSteps:
     ])
     def test_matches_per_sample_reference(self, n_tls, rate_decades, T, duration, dt):
         ensemble = tlssim.sample_ensemble(make_config(
-            n_tls=n_tls, rate_decades=rate_decades, seed=8))
+            n_tls=n_tls, rate_decades=rate_decades), 8)
         base = TWO_PI * 3.9e6
         ts = tlssim.simulate_microscopic(ensemble, OMEGA_Q, T, duration, dt,
                                          seed=17, base_gamma1=base)
