@@ -142,7 +142,7 @@ def _parse_hz(token: str) -> float:
     # (finite reads stop at an adjusted exponent of 307, nonzero ones at -325)
     if hz.is_finite() and hz:
         if hz.adjusted() > 310:
-            raise OverflowError(f"{token!r} overflows")
+            raise OverflowError(token)
         if hz.adjusted() < -330:
             return math.copysign(0.0, hz)
     # the exact product drops the sign of zero; restore it from the token
